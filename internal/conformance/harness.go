@@ -413,7 +413,8 @@ func (h *runner) closeSettled(tc *testConn) bool {
 
 // finalChecks turns end-state anomalies into violations: a failed drain
 // is a liveness bug; a reset nobody asked for means a forged or stale
-// RST got through validation.
+// RST got through validation; a flow-slot violation means a flow ID was
+// freed or reused with a layer still holding it.
 func (h *runner) finalChecks(drained bool) {
 	if !drained {
 		for _, tc := range h.conns {
@@ -439,6 +440,14 @@ func (h *runner) finalChecks(drained bool) {
 		}
 		if tc.acc != nil && tc.acc.Reset() {
 			h.violate("unexpected-reset", tc, "acceptor side reset without an abort")
+		}
+	}
+	for _, ep := range []Endpoint{h.rig.A, h.rig.B} {
+		if n := ep.FlowSlotViolations(); n > 0 {
+			h.viol = append(h.viol, Violation{
+				Invariant: "flow-slot-lifecycle", Endpoint: ep.Name(),
+				Cycle: h.rig.R.Now(), Detail: fmt.Sprintf("%d flow IDs freed or reused while a layer held them", n),
+			})
 		}
 	}
 }

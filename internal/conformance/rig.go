@@ -89,6 +89,9 @@ type Endpoint interface {
 	// OowRstDrops returns how many inbound RSTs this side discarded for
 	// failing sequence validation.
 	OowRstDrops() int64
+	// FlowSlotViolations returns how many flow IDs this side freed or
+	// reused while one of its layers still held state for them.
+	FlowSlotViolations() int64
 }
 
 // rigPort is the listening port every rig uses.
@@ -307,6 +310,8 @@ func (s *stackEnd) VisitTCBs(fn func(*flow.TCB)) {
 
 func (s *stackEnd) OowRstDrops() int64 { return s.ep.RxOowRsts }
 
+func (s *stackEnd) FlowSlotViolations() int64 { return 0 }
+
 type stackConn struct{ c *stack.Conn }
 
 func (c *stackConn) Established() bool          { return c.c.Established }
@@ -369,6 +374,8 @@ func (e *engineEnd) Poll() []Conn {
 func (e *engineEnd) VisitTCBs(fn func(*flow.TCB)) { e.eng.VisitTCBs(fn) }
 
 func (e *engineEnd) OowRstDrops() int64 { return e.eng.OowRstDrops.Total() }
+
+func (e *engineEnd) FlowSlotViolations() int64 { return e.eng.FlowSlotViolations.Total() }
 
 type sockConn struct {
 	s   *softstack.Socket

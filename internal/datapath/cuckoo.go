@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"unsafe"
 
-	"f4t/internal/flow"
 	"f4t/internal/sim"
 	"f4t/internal/wire"
 )
@@ -35,7 +34,7 @@ const cuckooInitialBuckets = 16
 
 type cuckooEntry struct {
 	key   wire.FourTuple
-	val   flow.ID
+	val   uint32
 	inUse bool
 }
 
@@ -51,7 +50,8 @@ type CuckooStats struct {
 	FullDrops int64 // inserts refused at the capacity bound
 }
 
-// CuckooTable maps 4-tuples to flow IDs with two hash functions and
+// CuckooTable maps 4-tuples to 32-bit handles (the parser stores its
+// per-flow arena index) with two hash functions and
 // 4-way buckets — the RX parser's flow lookup structure (§4.1.2). The
 // table is growable: it starts small, doubles when occupancy crosses a
 // load-factor watermark (15/16 of slots) or the stash fills, and stops
@@ -139,8 +139,8 @@ func (c *CuckooTable) MemBytes() int64 {
 	return int64(len(c.buckets)*cuckooWays+cap(c.stash)) * c.EntryBytes()
 }
 
-// Lookup returns the flow ID for the tuple.
-func (c *CuckooTable) Lookup(k wire.FourTuple) (flow.ID, bool) {
+// Lookup returns the handle stored for the tuple.
+func (c *CuckooTable) Lookup(k wire.FourTuple) (uint32, bool) {
 	for _, b := range []uint64{c.h1(k), c.h2(k)} {
 		for i := range c.buckets[b] {
 			e := &c.buckets[b][i]
@@ -160,7 +160,7 @@ func (c *CuckooTable) Lookup(k wire.FourTuple) (flow.ID, bool) {
 // Insert adds or updates a mapping. It reports false only when the table
 // is at its capacity bound (counted in Stats().FullDrops); a true return
 // guarantees the key — and every previously resident key — is findable.
-func (c *CuckooTable) Insert(k wire.FourTuple, v flow.ID) bool {
+func (c *CuckooTable) Insert(k wire.FourTuple, v uint32) bool {
 	// Update in place if present (buckets, then stash).
 	for _, b := range []uint64{c.h1(k), c.h2(k)} {
 		for i := range c.buckets[b] {

@@ -3,7 +3,6 @@ package datapath
 import (
 	"testing"
 
-	"f4t/internal/flow"
 	"f4t/internal/sim"
 	"f4t/internal/wire"
 )
@@ -21,7 +20,7 @@ func churnTuple(i uint64) wire.FourTuple {
 
 // verifyAll checks every shadow-resident key is findable with the right
 // value and that Len matches the shadow exactly.
-func verifyAll(t *testing.T, c *CuckooTable, shadow map[wire.FourTuple]flow.ID) {
+func verifyAll(t *testing.T, c *CuckooTable, shadow map[wire.FourTuple]uint32) {
 	t.Helper()
 	if c.Len() != len(shadow) {
 		t.Fatalf("Len() = %d, shadow has %d (stats %+v)", c.Len(), len(shadow), c.Stats())
@@ -47,12 +46,12 @@ func verifyAll(t *testing.T, c *CuckooTable, shadow map[wire.FourTuple]flow.ID) 
 func TestCuckooNoVictimLoss(t *testing.T) {
 	const cap = 768
 	c := NewCuckooTable(cap, 42)
-	shadow := map[wire.FourTuple]flow.ID{}
+	shadow := map[wire.FourTuple]uint32{}
 	var refused int
 	for i := uint64(0); i < 4*cap; i++ {
 		k := churnTuple(i)
-		if c.Insert(k, flow.ID(i)) {
-			shadow[k] = flow.ID(i)
+		if c.Insert(k, uint32(i)) {
+			shadow[k] = uint32(i)
 		} else {
 			refused++
 			// A refused insert must refuse cleanly: the key absent, no
@@ -88,15 +87,15 @@ func TestCuckooHighLoadChurn(t *testing.T) {
 	// a full table sits at exactly the watermark load factor.
 	const cap = 15360
 	c := NewCuckooTable(cap, 7)
-	shadow := map[wire.FourTuple]flow.ID{}
+	shadow := map[wire.FourTuple]uint32{}
 	keys := make([]wire.FourTuple, 0, cap)
 	next := uint64(0)
 	for len(shadow) < cap {
 		k := churnTuple(next)
-		if !c.Insert(k, flow.ID(next)) {
+		if !c.Insert(k, uint32(next)) {
 			t.Fatalf("insert refused below capacity at %d resident", len(shadow))
 		}
-		shadow[k] = flow.ID(next)
+		shadow[k] = uint32(next)
 		keys = append(keys, k)
 		next++
 	}
@@ -128,10 +127,10 @@ func TestCuckooHighLoadChurn(t *testing.T) {
 		}
 		for len(shadow) < cap {
 			k := churnTuple(next)
-			if !c.Insert(k, flow.ID(next)) {
+			if !c.Insert(k, uint32(next)) {
 				t.Fatalf("round %d: refill refused at %d resident", round, len(shadow))
 			}
-			shadow[k] = flow.ID(next)
+			shadow[k] = uint32(next)
 			keys = append(keys, k)
 			next++
 		}
@@ -151,7 +150,7 @@ func TestCuckooGrowthFromSmall(t *testing.T) {
 	}
 	base := c.MemBytes()
 	for i := uint64(0); i < 50_000; i++ {
-		if !c.Insert(churnTuple(i), flow.ID(i)) {
+		if !c.Insert(churnTuple(i), uint32(i)) {
 			t.Fatalf("insert %d refused", i)
 		}
 	}
@@ -168,7 +167,7 @@ func TestCuckooGrowthFromSmall(t *testing.T) {
 		t.Fatalf("slots %d > 4x size %d — growth overshoots", st.Slots, st.Size)
 	}
 	for i := uint64(0); i < 50_000; i++ {
-		if v, ok := c.Lookup(churnTuple(i)); !ok || v != flow.ID(i) {
+		if v, ok := c.Lookup(churnTuple(i)); !ok || v != uint32(i) {
 			t.Fatalf("key %d lost across growth", i)
 		}
 	}
@@ -188,13 +187,13 @@ func FuzzCuckoo(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const cap = 96 // small bound so the fuzzer reaches it quickly
 		c := NewCuckooTable(cap, 1234)
-		shadow := map[wire.FourTuple]flow.ID{}
+		shadow := map[wire.FourTuple]uint32{}
 		for i := 0; i+2 < len(data); i += 3 {
 			idx := uint64(data[i+1]) | uint64(data[i+2]&3)<<8
 			k := churnTuple(idx)
 			switch data[i] % 3 {
 			case 0:
-				ok := c.Insert(k, flow.ID(idx))
+				ok := c.Insert(k, uint32(idx))
 				_, existed := shadow[k]
 				if existed && !ok {
 					t.Fatal("insert of resident key refused")
@@ -203,7 +202,7 @@ func FuzzCuckoo(f *testing.F) {
 					t.Fatalf("insert refused below capacity (%d resident)", len(shadow))
 				}
 				if ok {
-					shadow[k] = flow.ID(idx)
+					shadow[k] = uint32(idx)
 				}
 			case 1:
 				got := c.Delete(k)

@@ -24,7 +24,7 @@ func TestCuckooInsertLookupDelete(t *testing.T) {
 	c := NewCuckooTable(4096, 1)
 	const n = 3000
 	for i := 0; i < n; i++ {
-		if !c.Insert(tupleN(i), flow.ID(i)) {
+		if !c.Insert(tupleN(i), uint32(i)) {
 			t.Fatalf("insert %d failed at load %d", i, c.Len())
 		}
 	}
@@ -33,7 +33,7 @@ func TestCuckooInsertLookupDelete(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		v, ok := c.Lookup(tupleN(i))
-		if !ok || v != flow.ID(i) {
+		if !ok || v != uint32(i) {
 			t.Fatalf("lookup %d = %d,%v", i, v, ok)
 		}
 	}
@@ -66,15 +66,15 @@ func TestCuckooUpdateInPlace(t *testing.T) {
 func TestCuckooModelEquivalence(t *testing.T) {
 	// Against a map oracle under a random op sequence.
 	c := NewCuckooTable(512, 3)
-	oracle := map[wire.FourTuple]flow.ID{}
+	oracle := map[wire.FourTuple]uint32{}
 	err := quick.Check(func(ops []uint16) bool {
 		for _, op := range ops {
 			i := int(op % 300)
 			k := tupleN(i)
 			switch (op >> 9) % 3 {
 			case 0:
-				if c.Insert(k, flow.ID(i)) {
-					oracle[k] = flow.ID(i)
+				if c.Insert(k, uint32(i)) {
+					oracle[k] = uint32(i)
 				} else if _, exists := oracle[k]; exists {
 					return false // insert of existing key must not fail
 				}
@@ -384,10 +384,10 @@ func TestARPResolveAndReply(t *testing.T) {
 func TestICMPEchoReply(t *testing.T) {
 	me := wire.MakeAddr(10, 0, 0, 1)
 	req := &wire.Packet{
-		Kind: wire.KindICMP,
-		Eth:  wire.EthHeader{Src: wire.MAC{5}},
-		IP:   wire.IPv4Header{Src: wire.MakeAddr(10, 0, 0, 2), Dst: me},
-		ICMP: wire.ICMPEcho{Type: wire.ICMPEchoRequest, ID: 3, Seq: 4},
+		Kind:       wire.KindICMP,
+		Eth:        wire.EthHeader{Src: wire.MAC{5}},
+		IP:         wire.IPv4Header{Src: wire.MakeAddr(10, 0, 0, 2), Dst: me},
+		ICMP:       wire.ICMPEcho{Type: wire.ICMPEchoRequest, ID: 3, Seq: 4},
 		PayloadLen: 8, Payload: []byte("payload!"),
 	}
 	rep := HandleICMP(req, me, wire.MAC{1})
@@ -398,5 +398,69 @@ func TestICMPEchoReply(t *testing.T) {
 	req.IP.Dst = wire.MakeAddr(10, 0, 0, 9)
 	if HandleICMP(req, me, wire.MAC{1}) != nil {
 		t.Fatal("answered an echo not addressed to us")
+	}
+}
+
+// The flow table stores each flow's parser arena index, not its ID.
+// Lookup and Parse must still resolve every registered tuple to its own
+// flow ID and receive ring after the table displaced entries, parked
+// some in the stash and doubled, and after released arena slots were
+// recycled by new flows.
+func TestParserResolvesThroughArenaHandles(t *testing.T) {
+	const n = 15360 // a full table sits at the load watermark
+	p := NewParser(n, 1<<16, 0, 7)
+	idOf := func(i int) flow.ID { return flow.ID(3*i + 1) }
+	rings := make([]*Ring, n+n/2)
+	register := func(i int) {
+		rings[i] = NewRing(64)
+		if !p.Register(churnTuple(uint64(i)), idOf(i), rings[i]) {
+			t.Fatalf("register %d refused", i)
+		}
+		p.Parse(rxPacket(churnTuple(uint64(i)), 1000, 0, wire.FlagSYN, 0, 100))
+	}
+	check := func(i int) {
+		tup := churnTuple(uint64(i))
+		if id, ok := p.Lookup(tup); !ok || id != idOf(i) {
+			t.Fatalf("Lookup(flow %d) = %d,%v, want %d", i, id, ok, idOf(i))
+		}
+		pkt := rxPacket(tup, 1001, 4, wire.FlagACK, 0, 100)
+		pkt.Payload = []byte{byte(i), byte(i >> 8), byte(i >> 16), 0xAB}
+		res := p.Parse(pkt)
+		if res.NoFlow || res.Event.Flow != idOf(i) {
+			t.Fatalf("Parse(flow %d) = %+v, want flow %d", i, res, idOf(i))
+		}
+		if got := rings[i].ReadAt(1001, 4); !bytes.Equal(got, pkt.Payload) {
+			t.Fatalf("flow %d ring holds %v, want %v", i, got, pkt.Payload)
+		}
+	}
+	for i := 0; i < n; i++ {
+		register(i)
+	}
+	st := p.TableStats()
+	if st.Resizes == 0 || st.Kicks == 0 || st.StashPeak == 0 {
+		t.Fatalf("table stats %+v: want doubling, displacement and stash use", st)
+	}
+	for i := 0; i < n; i++ {
+		check(i)
+	}
+	// Free every other flow and refill: the new flows reuse the
+	// released arena slots.
+	for i := 0; i < n; i += 2 {
+		p.Deregister(churnTuple(uint64(i)), idOf(i))
+	}
+	for i := n; i < n+n/2; i++ {
+		register(i)
+	}
+	if p.Flows() != n {
+		t.Fatalf("Flows() = %d, want %d", p.Flows(), n)
+	}
+	for i := 0; i < n+n/2; i++ {
+		if i < n && i%2 == 0 {
+			if _, ok := p.Lookup(churnTuple(uint64(i))); ok {
+				t.Fatalf("deregistered flow %d still resolves", i)
+			}
+			continue
+		}
+		check(i)
 	}
 }

@@ -24,48 +24,54 @@ type parserFlow struct {
 	synSeen bool
 	rcvBuf  uint32
 	finSeen bool
+	live    bool // registered (false once released to the free list)
 	finSeq  seqnum.Value
 
 	reasmStore Reassembler
 }
 
-// pfArenaChunk is the parser-flow arena granularity.
-const pfArenaChunk = 256
+// pfArenaShift sets the parser-flow arena granularity (256 flows).
+const (
+	pfArenaShift = 8
+	pfArenaChunk = 1 << pfArenaShift
+)
 
-// pfArena bump-allocates parserFlows in chunks and recycles released
+// pfArena allocates parserFlows in chunks, addressed by a dense arena
+// index — the handle the flow table stores — and recycles released
 // slots through a free list. Unlike the engine's TCB arena, reuse is
 // safe here: nothing outside the parser retains a *parserFlow, and
 // Deregister is the single release point. Recycled slots keep their
 // reassembler's chunk buffers, so long-lived endpoints stop allocating
 // per-connection once the churn working set is warm.
 type pfArena struct {
-	chunk  []parserFlow
-	used   int
-	free   []*parserFlow
-	chunks int64 // chunks ever allocated (memory accounting)
+	chunks [][]parserFlow
+	used   uint32   // slots ever handed out
+	free   []uint32 // released slot indices
 }
 
-func (a *pfArena) alloc() *parserFlow {
+func (a *pfArena) at(idx uint32) *parserFlow {
+	return &a.chunks[idx>>pfArenaShift][idx&(pfArenaChunk-1)]
+}
+
+func (a *pfArena) alloc() uint32 {
 	if n := len(a.free); n > 0 {
-		pf := a.free[n-1]
+		idx := a.free[n-1]
 		a.free = a.free[:n-1]
-		return pf
+		return idx
 	}
-	if a.used == len(a.chunk) {
-		a.chunk = make([]parserFlow, pfArenaChunk)
-		a.used = 0
-		a.chunks++
+	if int(a.used>>pfArenaShift) == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]parserFlow, pfArenaChunk))
 	}
-	pf := &a.chunk[a.used]
 	a.used++
-	return pf
+	return a.used - 1
 }
 
-func (a *pfArena) release(pf *parserFlow) {
+func (a *pfArena) release(idx uint32) {
+	pf := a.at(idx)
 	chunks, scratch := pf.reasmStore.chunks[:0], pf.reasmStore.scratch[:0]
 	*pf = parserFlow{}
 	pf.reasmStore.chunks, pf.reasmStore.scratch = chunks, scratch
-	a.free = append(a.free, pf)
+	a.free = append(a.free, idx)
 }
 
 // ParseResult is what the RX parser hands the control path for one TCP
@@ -78,10 +84,11 @@ type ParseResult struct {
 
 // Parser is the RX parser: cuckoo flow lookup, per-flow reassembly, and
 // event digestion. Both the engine (with pipeline timing) and the
-// software stack (with CPU costs) drive this same logic.
+// software stack (with CPU costs) drive this same logic. The flow table
+// maps a 4-tuple to the flow's arena index, and the arena slot records
+// the flow ID, so one lookup resolves both.
 type Parser struct {
 	table    *CuckooTable
-	flows    map[flow.ID]*parserFlow
 	arena    pfArena
 	wndScale uint8
 	rcvBuf   uint32
@@ -93,7 +100,6 @@ type Parser struct {
 func NewParser(maxFlows int, rcvBuf uint32, wndScale uint8, seed uint64) *Parser {
 	return &Parser{
 		table:    NewCuckooTable(maxFlows, seed),
-		flows:    make(map[flow.ID]*parserFlow),
 		wndScale: wndScale,
 		rcvBuf:   rcvBuf,
 	}
@@ -103,38 +109,37 @@ func NewParser(maxFlows int, rcvBuf uint32, wndScale uint8, seed uint64) *Parser
 // modelled-only transfers. For active opens the in-order boundary is not
 // known yet; it is set when the peer's SYN arrives.
 func (p *Parser) Register(t wire.FourTuple, id flow.ID, ring *Ring) bool {
-	if !p.table.Insert(t, id) {
+	idx := p.arena.alloc()
+	if !p.table.Insert(t, idx) {
+		p.arena.release(idx)
 		return false
 	}
-	pf := p.arena.alloc()
-	pf.id, pf.ring, pf.rcvBuf = id, ring, p.rcvBuf
-	p.flows[id] = pf
+	pf := p.arena.at(idx)
+	pf.id, pf.ring, pf.rcvBuf, pf.live = id, ring, p.rcvBuf, true
 	return true
 }
 
 // Deregister removes a flow from the lookup table and recycles its
 // arena slot.
 func (p *Parser) Deregister(t wire.FourTuple, id flow.ID) {
-	p.table.Delete(t)
-	if pf := p.flows[id]; pf != nil {
-		p.arena.release(pf)
+	if idx, ok := p.table.Lookup(t); ok {
+		p.table.Delete(t)
+		p.arena.release(idx)
 	}
-	delete(p.flows, id)
 }
 
-// Lookup exposes the flow table (used by tests and the engine's RSS).
-func (p *Parser) Lookup(t wire.FourTuple) (flow.ID, bool) { return p.table.Lookup(t) }
+// Lookup returns the flow ID registered for the 4-tuple (used by tests
+// and the engine's RSS).
+func (p *Parser) Lookup(t wire.FourTuple) (flow.ID, bool) {
+	idx, ok := p.table.Lookup(t)
+	if !ok {
+		return 0, false
+	}
+	return p.arena.at(idx).id, true
+}
 
 // Flows returns the number of registered flows.
-func (p *Parser) Flows() int { return len(p.flows) }
-
-// Ring returns a flow's receive ring (nil in modelled-only mode).
-func (p *Parser) Ring(id flow.ID) *Ring {
-	if f := p.flows[id]; f != nil {
-		return f.ring
-	}
-	return nil
-}
+func (p *Parser) Flows() int { return int(p.arena.used) - len(p.arena.free) }
 
 // TableStats exposes the flow table's occupancy counters.
 func (p *Parser) TableStats() CuckooStats { return p.table.Stats() }
@@ -154,11 +159,15 @@ func (p *Parser) Mem() ParserMem {
 	m := ParserMem{
 		TableEntries: int64(p.table.Len()),
 		TableBytes:   p.table.MemBytes(),
-		FlowCount:    int64(len(p.flows)),
-		FlowBytes:    p.arena.chunks * pfArenaChunk * int64(unsafe.Sizeof(parserFlow{})),
+		FlowCount:    int64(p.Flows()),
+		FlowBytes:    int64(len(p.arena.chunks)) * pfArenaChunk * int64(unsafe.Sizeof(parserFlow{})),
 	}
-	for _, pf := range p.flows {
-		m.ReasmBytes += pf.reasmStore.MemBytes()
+	for _, chunk := range p.arena.chunks {
+		for i := range chunk {
+			if chunk[i].live {
+				m.ReasmBytes += chunk[i].reasmStore.MemBytes()
+			}
+		}
 	}
 	return m
 }
@@ -169,17 +178,13 @@ func (p *Parser) Mem() ParserMem {
 // buffer whether or not it is in order; the application is notified only
 // of the in-order boundary.
 func (p *Parser) Parse(pkt *wire.Packet) ParseResult {
-	tuple := pkt.Tuple()
-	id, ok := p.table.Lookup(tuple)
+	idx, ok := p.table.Lookup(pkt.Tuple())
 	if !ok {
 		return ParseResult{NoFlow: true}
 	}
-	pf := p.flows[id]
-	if pf == nil {
-		return ParseResult{NoFlow: true}
-	}
+	pf := p.arena.at(idx)
 
-	ev := flow.Event{Kind: flow.EvRx, Flow: id, Coalescable: true}
+	ev := flow.Event{Kind: flow.EvRx, Flow: pf.id, Coalescable: true}
 	hdr := &pkt.TCP
 
 	// Connection flags. An RST carries its sequence number (and ack, if

@@ -95,7 +95,8 @@ const (
 
 // flowMeta is the engine's per-flow directory entry.
 type flowMeta struct {
-	tcb     *flow.TCB
+	tcb     *flow.TCB // nil while the ID is free
+	gen     uint32    // slot generation the flow was born with
 	meta    datapath.FlowMeta
 	channel int // owning host queue pair (RSS, §4.6)
 	txRing  *datapath.Ring
@@ -103,6 +104,20 @@ type flowMeta struct {
 	// fetch reads send-payload bytes from txRing; built once per flow so
 	// the per-segment emit path does not allocate a closure.
 	fetch datapath.PayloadFetch
+}
+
+// flowSlot is one flow ID's home in the engine: the live flow's
+// directory entry plus the state that outlives it. Flow IDs are dense
+// and reused (allocID), so the slots form a slice indexed by ID that
+// grows only when allocID raises its high-water mark.
+type flowSlot struct {
+	flowMeta
+	gen uint32 // bumped each time the ID is freed
+	// Timeout bits bounced off a full coalesce FIFO; toQueued marks the
+	// ID's entry in toOrder. Both drain with that entry, not with the
+	// flow.
+	toBits   uint8
+	toQueued bool
 }
 
 // tcbArenaChunk is the TCB bump-allocator granularity.
@@ -165,7 +180,9 @@ type Engine struct {
 	// (§5.1: slower packet generation ⇒ more event accumulation).
 	txRate *sim.ByteRate
 
-	flows     map[flow.ID]*flowMeta
+	flows     []flowSlot // indexed by flow ID
+	live      int        // slots holding a flow
+	freed     []flow.ID  // freed this cycle, awaiting checkReleased
 	listeners map[uint16]*listener
 	freeIDs   []flow.ID
 	nextID    flow.ID
@@ -186,7 +203,6 @@ type Engine struct {
 	// order. Timeout bits dedupe per flow so backpressure cannot grow
 	// the backlog beyond one entry per flow.
 	retryQ    *sim.Queue[flow.Event]
-	toPending map[flow.ID]uint8
 	toOrder   *sim.Queue[flow.ID]
 	compBatch [][]hostif.Completion
 
@@ -202,6 +218,11 @@ type Engine struct {
 	FlowsRejected   sim.Counter // opens refused because the flow table/ID space is exhausted
 	RetransSegs     sim.Counter // segments re-sent (loss recovery + RTO)
 	OowRstDrops     sim.Counter // inbound RSTs dropped by sequence validation
+	// Flow IDs freed while a layer still held them, or reused while a
+	// layer still held state from the previous flow (see checkReleased).
+	FlowSlotViolations sim.Counter
+
+	slotProbes []func() int64 // host libraries' per-flow slot bytes
 
 	// Telemetry (nil when disabled; see telemetry.go).
 	trc *telemetry.Trace
@@ -237,12 +258,10 @@ func New(k *sim.Kernel, cfg Config, tx func(*wire.Packet)) *Engine {
 		K:         k,
 		cfg:       cfg,
 		tx:        tx,
-		flows:     make(map[flow.ID]*flowMeta),
 		listeners: make(map[uint16]*listener),
 		rng:       sim.NewRand(cfg.Seed + 11),
 		rxQueue:   sim.NewQueue[*wire.Packet](4096),
 		retryQ:    sim.NewQueue[flow.Event](0),
-		toPending: make(map[flow.ID]uint8),
 		toOrder:   sim.NewQueue[flow.ID](0),
 		arpWait:   make(map[wire.Addr][]*wire.Packet),
 		timers:    timerq.New(),
@@ -292,7 +311,7 @@ func New(k *sim.Kernel, cfg Config, tx func(*wire.Packet)) *Engine {
 			OnEvictAbort: func(id flow.ID) { e.sch.EvictAborted(idx, id) },
 		})
 	}
-	schedCfg := sched.DefaultConfig(cfg.MaxFlows, cfg.NumFPCs)
+	schedCfg := sched.DefaultConfig(cfg.NumFPCs)
 	schedCfg.Coalesce = cfg.Coalesce
 	e.sch = sched.New(k, schedCfg, e.fpcs, e.mem)
 	// Doorbell wakes: a host Post must pull the kernel out of a
@@ -303,12 +322,7 @@ func New(k *sim.Kernel, cfg Config, tx func(*wire.Packet)) *Engine {
 	e.emitFn = e.emitPacket
 	e.transmitFn = func(arg any) { e.transmit(arg.(*wire.Packet)) }
 	e.txFn = func(arg any) { e.tx(arg.(*wire.Packet)) }
-	e.timerLookT = func(id flow.ID) *flow.TCB {
-		if fm := e.flows[id]; fm != nil {
-			return fm.tcb
-		}
-		return nil
-	}
+	e.timerLookT = func(id flow.ID) *flow.TCB { return e.flows[id].tcb }
 	e.timerFire = func(id flow.ID, kind uint8) {
 		e.submit(flow.Event{Kind: flow.EvTimeout, Flow: id, Timeouts: kind, Coalescable: true})
 	}
@@ -331,11 +345,19 @@ func (e *Engine) Mem() *memmgr.Manager { return e.mem }
 func (e *Engine) FPCs() []*fpc.FPC { return e.fpcs }
 
 // FlowCount returns live flows across all locations.
-func (e *Engine) FlowCount() int { return len(e.flows) }
+func (e *Engine) FlowCount() int { return e.live }
+
+// flow returns the live flow with the given ID, or nil.
+func (e *Engine) flow(id flow.ID) *flowMeta {
+	if int(id) < len(e.flows) && e.flows[id].tcb != nil {
+		return &e.flows[id].flowMeta
+	}
+	return nil
+}
 
 // TCB returns a flow's TCB (tests/diagnostics).
 func (e *Engine) TCB(id flow.ID) *flow.TCB {
-	if fm := e.flows[id]; fm != nil {
+	if fm := e.flow(id); fm != nil {
 		return fm.tcb
 	}
 	return nil
@@ -349,7 +371,7 @@ func (e *Engine) TxRingSize() uint32 { return e.cfg.Proto.RcvBuf }
 // TxRing returns a flow's TX data buffer (host library writes send bytes
 // here before posting the Send command). Nil in modelled mode.
 func (e *Engine) TxRing(id flow.ID) *datapath.Ring {
-	if fm := e.flows[id]; fm != nil {
+	if fm := e.flow(id); fm != nil {
 		return fm.txRing
 	}
 	return nil
@@ -358,7 +380,7 @@ func (e *Engine) TxRing(id flow.ID) *datapath.Ring {
 // RxRing returns a flow's RX data buffer (host library reads received
 // bytes from here). Nil in modelled mode.
 func (e *Engine) RxRing(id flow.ID) *datapath.Ring {
-	if fm := e.flows[id]; fm != nil {
+	if fm := e.flow(id); fm != nil {
 		return fm.rxRing
 	}
 	return nil
@@ -376,6 +398,7 @@ func (e *Engine) allocID() (flow.ID, bool) {
 	}
 	id := e.nextID
 	e.nextID++
+	e.flows = append(e.flows, flowSlot{})
 	return id, true
 }
 
@@ -397,7 +420,7 @@ func (e *Engine) newFlow(tuple wire.FourTuple, channel int, state flow.State) (*
 		RcvBuf: e.cfg.Proto.RcvBuf,
 	}
 	t.AckedToHost = iss.Add(1)
-	fm := &flowMeta{
+	fm := flowMeta{
 		tcb:     t,
 		meta:    datapath.FlowMeta{Tuple: tuple, LocalMAC: e.cfg.MAC},
 		channel: channel,
@@ -418,21 +441,63 @@ func (e *Engine) newFlow(tuple wire.FourTuple, channel int, state flow.State) (*
 		e.freeIDs = append(e.freeIDs, id)
 		return nil, false
 	}
-	e.flows[id] = fm
+	s := &e.flows[id]
+	if s.toQueued || e.held(id) {
+		e.FlowSlotViolations.Inc() // reused while a layer holds the last flow's state
+	}
+	fm.gen = s.gen
+	s.flowMeta = fm
+	e.live++
 	e.sch.AllocateFlow(t)
-	return fm, true
+	return &s.flowMeta, true
 }
 
-// freeFlow releases every trace of a terminated connection.
+// freeFlow releases every trace of a terminated connection. This is the
+// one place a flow ID's per-layer state is released: the parser entry,
+// the scheduler's location and migration (and with them the DRAM copy),
+// and the engine slot, whose generation moves on.
 func (e *Engine) freeFlow(id flow.ID) {
-	fm := e.flows[id]
-	if fm == nil {
+	s := &e.flows[id]
+	if s.tcb == nil {
 		return
 	}
-	e.parser.Deregister(fm.meta.Tuple, id)
+	tuple := s.meta.Tuple
+	e.parser.Deregister(tuple, id)
 	e.sch.FlowFreed(id)
-	delete(e.flows, id)
+	if got, ok := e.parser.Lookup(tuple); (ok && got == id) || s.flowMeta.gen != s.gen {
+		e.FlowSlotViolations.Inc()
+	}
+	s.flowMeta = flowMeta{}
+	s.gen++
+	e.live--
 	e.freeIDs = append(e.freeIDs, id)
+	e.freed = append(e.freed, id)
+}
+
+// held reports whether the scheduler, the memory manager or an FPC
+// still keeps state for the flow ID.
+func (e *Engine) held(id flow.ID) bool {
+	if e.sch.Holds(id) || e.mem.Holds(id) {
+		return true
+	}
+	for _, f := range e.fpcs {
+		if f.Has(id) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkReleased counts a violation for every ID freed this cycle that a
+// layer still holds. It runs once the FPCs have ticked: the FPC whose
+// pass freed the flow drops its CAM entry only after OnActions returns.
+func (e *Engine) checkReleased() {
+	for _, id := range e.freed {
+		if e.held(id) {
+			e.FlowSlotViolations.Inc()
+		}
+	}
+	e.freed = e.freed[:0]
 }
 
 // DeliverPacket is the wire RX entry point (attach as the link sink).
@@ -511,6 +576,9 @@ func (e *Engine) Tick(cycle int64) {
 	e.sch.Tick(cycle)
 	for _, f := range e.fpcs {
 		f.Tick(cycle)
+	}
+	if len(e.freed) > 0 {
+		e.checkReleased()
 	}
 	e.mem.Tick(cycle)
 	e.flushCompletions()
@@ -606,10 +674,12 @@ func (e *Engine) submit(ev flow.Event) {
 		return
 	}
 	if ev.Kind == flow.EvTimeout {
-		if _, pending := e.toPending[ev.Flow]; !pending {
+		s := &e.flows[ev.Flow]
+		if !s.toQueued {
+			s.toQueued = true
 			e.toOrder.Push(ev.Flow)
 		}
-		e.toPending[ev.Flow] |= ev.Timeouts
+		s.toBits |= ev.Timeouts
 		return
 	}
 	e.retryQ.Push(ev)
@@ -729,17 +799,17 @@ func (e *Engine) fireTimers() {
 		if !ok {
 			break
 		}
-		bits := e.toPending[id]
-		if bits == 0 {
+		s := &e.flows[id]
+		if s.toBits == 0 {
 			e.toOrder.Pop()
-			delete(e.toPending, id)
+			s.toQueued = false
 			continue
 		}
-		if !e.sch.Submit(flow.Event{Kind: flow.EvTimeout, Flow: id, Timeouts: bits, Coalescable: true}) {
+		if !e.sch.Submit(flow.Event{Kind: flow.EvTimeout, Flow: id, Timeouts: s.toBits, Coalescable: true}) {
 			break
 		}
 		e.toOrder.Pop()
-		delete(e.toPending, id)
+		s.toBits, s.toQueued = 0, false
 	}
 	// Event-driven fast path: scanning the timer module costs nothing
 	// while the earliest deadline is in the future — the common case on
@@ -752,7 +822,7 @@ func (e *Engine) fireTimers() {
 // applyActions is the FPU output stage: segments to the packet
 // generator, notes to the completion path, timers to the timer module.
 func (e *Engine) applyActions(t *flow.TCB, a *tcpproc.Actions) {
-	fm := e.flows[t.FlowID]
+	fm := e.flow(t.FlowID)
 	if fm == nil {
 		return
 	}
@@ -904,5 +974,5 @@ func (e *Engine) flushCompletions() {
 
 // String summarizes engine state.
 func (e *Engine) String() string {
-	return fmt.Sprintf("engine{flows=%d fpcs=%d dram=%d}", len(e.flows), len(e.fpcs), e.mem.FlowCount())
+	return fmt.Sprintf("engine{flows=%d fpcs=%d dram=%d}", e.live, len(e.fpcs), e.mem.FlowCount())
 }

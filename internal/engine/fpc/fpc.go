@@ -36,9 +36,9 @@ const (
 
 // Config parameterizes one FPC.
 type Config struct {
-	Slots      int  // TCB table entries (reference design: 128)
-	FPULatency int  // FPU pipeline depth in cycles (from the CC algorithm)
-	II         int  // initiation interval in cycles (paper: 2)
+	Slots      int // TCB table entries (reference design: 128)
+	FPULatency int // FPU pipeline depth in cycles (from the CC algorithm)
+	II         int // initiation interval in cycles (paper: 2)
 	Mode       Mode
 
 	// ModeStall: total cycles one event occupies the unit, expressed as a
@@ -76,12 +76,12 @@ type Hooks struct {
 // slot is one row of the dual memory: the TCB table entry plus the event
 // table entry with its valid bits.
 type slot struct {
-	used  bool
-	tcb   *flow.TCB
-	row   flow.EventRow // the event table entry (§4.2.1)
-	inFPU bool
-	evict bool
-	ready bool // queued for the TCB manager (issue bookkeeping)
+	used       bool
+	tcb        *flow.TCB
+	row        flow.EventRow // the event table entry (§4.2.1)
+	inFPU      bool
+	evict      bool
+	ready      bool // queued for the TCB manager (issue bookkeeping)
 	lastActive int64
 }
 
@@ -96,17 +96,18 @@ type FPC struct {
 	cfg   Config
 	hooks Hooks
 
-	slots []slot
-	cam   map[flow.ID]int // CAM: global flow ID → table index (§4.4.2)
+	slots    []slot
+	cam      []int32 // CAM: global flow ID → table index, -1 = not resident (§4.4.2)
+	resident int     // CAM entries in use
 
 	input    *sim.Queue[flow.Event] // routed events awaiting handling
 	incoming *sim.Queue[*flow.TCB]  // swap-ins via the dedicated write port
 	reserved int                    // slots held for migrations in flight
 
-	ready     *sim.Queue[int] // slots awaiting issue, FIFO ≈ round-robin
-	lastIssue int64           // cycle of the last FPU issue (II enforcement)
-	lastHandle int64 // cycle of the last event handled (2-cycle schedule)
-	pipe      *sim.Queue[inflight]
+	ready      *sim.Queue[int] // slots awaiting issue, FIFO ≈ round-robin
+	lastIssue  int64           // cycle of the last FPU issue (II enforcement)
+	lastHandle int64           // cycle of the last event handled (2-cycle schedule)
+	pipe       *sim.Queue[inflight]
 
 	// ModeStall state.
 	stallBusyUntil int64
@@ -143,28 +144,27 @@ func New(k *sim.Kernel, cfg Config, hooks Hooks) *FPC {
 		cfg.StallNum, cfg.StallDen = int64(cfg.FPULatency), 1
 	}
 	return &FPC{
-		k:        k,
-		cfg:      cfg,
-		hooks:    hooks,
-		slots:    make([]slot, cfg.Slots),
-		cam:      make(map[flow.ID]int, cfg.Slots),
-		input:    sim.NewQueue[flow.Event](inputDepth),
-		incoming: sim.NewQueue[*flow.TCB](0), // bounded by reservations
-		pipe:     sim.NewQueue[inflight](0),
-		ready:    sim.NewQueue[int](0),
-		lastIssue: -10,
+		k:          k,
+		cfg:        cfg,
+		hooks:      hooks,
+		slots:      make([]slot, cfg.Slots),
+		input:      sim.NewQueue[flow.Event](inputDepth),
+		incoming:   sim.NewQueue[*flow.TCB](0), // bounded by reservations
+		pipe:       sim.NewQueue[inflight](0),
+		ready:      sim.NewQueue[int](0),
+		lastIssue:  -10,
 		lastHandle: -10,
 	}
 }
 
 // FlowCount returns resident flows.
-func (f *FPC) FlowCount() int { return len(f.cam) }
+func (f *FPC) FlowCount() int { return f.resident }
 
 // HasSlot reports whether a free TCB table entry exists, accounting for
 // swap-ins already in the incoming queue and reservations held by
 // migrations in flight.
 func (f *FPC) HasSlot() bool {
-	return len(f.cam)+f.incoming.Len()+f.reserved < f.cfg.Slots
+	return f.resident+f.incoming.Len()+f.reserved < f.cfg.Slots
 }
 
 // ReserveSlot holds one slot for a migration in flight, so a TCB read
@@ -186,11 +186,22 @@ func (f *FPC) ReleaseReservation() {
 	}
 }
 
+// lookup returns the flow's table index.
+func (f *FPC) lookup(id flow.ID) (int, bool) {
+	if int(id) < len(f.cam) && f.cam[id] >= 0 {
+		return int(f.cam[id]), true
+	}
+	return 0, false
+}
+
 // Has reports whether the flow is resident.
 func (f *FPC) Has(id flow.ID) bool {
-	_, ok := f.cam[id]
+	_, ok := f.lookup(id)
 	return ok
 }
+
+// SlotBytes returns the allocated bytes of the CAM.
+func (f *FPC) SlotBytes() int64 { return int64(cap(f.cam)) * 4 }
 
 // InputBacklog returns routed events not yet handled (the scheduler's
 // backpressure signal).
@@ -248,7 +259,11 @@ func (f *FPC) install(t *flow.TCB) {
 	for i := range f.slots {
 		if !f.slots[i].used {
 			f.slots[i] = slot{used: true, tcb: t, lastActive: f.k.Now()}
-			f.cam[t.FlowID] = i
+			for int(t.FlowID) >= len(f.cam) {
+				f.cam = append(f.cam, -1)
+			}
+			f.cam[t.FlowID] = int32(i)
+			f.resident++
 			// A migrated-in TCB may carry event inputs accumulated while
 			// it lived in DRAM; those demand a processing pass (§4.3.1).
 			if t.In.Valid != 0 {
@@ -278,7 +293,7 @@ func (f *FPC) ColdestFlow() flow.ID {
 // RequestEvict sets the evict flag on a resident flow's TCB; the evict
 // checker captures it after its next FPU pass. False when not resident.
 func (f *FPC) RequestEvict(id flow.ID) bool {
-	idx, ok := f.cam[id]
+	idx, ok := f.lookup(id)
 	if !ok {
 		return false
 	}
@@ -374,7 +389,7 @@ func (f *FPC) handleEvent(cycle int64) {
 	if !ok {
 		return
 	}
-	idx, resident := f.cam[ev.Flow]
+	idx, resident := f.lookup(ev.Flow)
 	if !resident {
 		// The scheduler guarantees routing correctness (§4.3.2); a miss
 		// here means the flow was freed while the event was in flight.
@@ -473,7 +488,8 @@ func (f *FPC) complete(cycle int64) {
 // events were merged in the final pass, so nothing is lost (§4.3.2).
 func (f *FPC) remove(idx int) {
 	s := &f.slots[idx]
-	delete(f.cam, s.tcb.FlowID)
+	f.cam[s.tcb.FlowID] = -1
+	f.resident--
 	*s = slot{}
 }
 
@@ -490,7 +506,7 @@ func (f *FPC) tickStall(cycle int64) {
 	if !ok {
 		return
 	}
-	idx, resident := f.cam[ev.Flow]
+	idx, resident := f.lookup(ev.Flow)
 	if !resident {
 		return
 	}
@@ -535,5 +551,5 @@ func (f *FPC) tickStall(cycle int64) {
 
 // String summarizes occupancy.
 func (f *FPC) String() string {
-	return fmt.Sprintf("fpc{flows=%d/%d in=%d pipe=%d}", len(f.cam), f.cfg.Slots, f.input.Len(), f.pipe.Len())
+	return fmt.Sprintf("fpc{flows=%d/%d in=%d pipe=%d}", f.resident, f.cfg.Slots, f.input.Len(), f.pipe.Len())
 }

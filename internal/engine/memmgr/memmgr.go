@@ -6,6 +6,8 @@
 package memmgr
 
 import (
+	"unsafe"
+
 	"f4t/internal/flow"
 	"f4t/internal/sim"
 	"f4t/internal/tcpproc"
@@ -57,6 +59,12 @@ type Hooks struct {
 	OnSwapInRequest func(id flow.ID)
 }
 
+// dramSlot is one flow ID's entry in the DRAM TCB store.
+type dramSlot struct {
+	tcb    *flow.TCB // nil = not resident
+	queued int32     // events of the flow across input+inFlight
+}
+
 type pendingEvent struct {
 	ev      flow.Event
 	readyAt int64
@@ -68,20 +76,19 @@ type Manager struct {
 	cfg   Config
 	hooks Hooks
 
-	tcbs  map[flow.ID]*flow.TCB
-	cache []flow.ID // direct-mapped: cache[i] = resident flow (NoFlow = empty)
+	slots []dramSlot // indexed by flow ID; grows with Insert
+	cache []flow.ID  // direct-mapped: cache[i] = resident flow (NoFlow = empty)
 	rate  *sim.ByteRate
 	lat   int64 // access latency in cycles
 
 	input    *sim.Queue[flow.Event]
 	inFlight *sim.Queue[pendingEvent]
-	queued   map[flow.ID]int // events per flow across input+inFlight
 
 	// Stats.
-	Handled    sim.Counter
-	CacheHits  sim.Counter
-	CacheMiss  sim.Counter
-	SwapReqs   sim.Counter
+	Handled   sim.Counter
+	CacheHits sim.Counter
+	CacheMiss sim.Counter
+	SwapReqs  sim.Counter
 }
 
 // New builds a manager.
@@ -102,12 +109,10 @@ func New(k *sim.Kernel, cfg Config, hooks Hooks) *Manager {
 		k:        k,
 		cfg:      cfg,
 		hooks:    hooks,
-		tcbs:     make(map[flow.ID]*flow.TCB),
 		rate:     sim.NewByteRate(num, 100),
 		lat:      sim.NSToCycles(cfg.LatencyNS),
 		input:    sim.NewQueue[flow.Event](0),
 		inFlight: sim.NewQueue[pendingEvent](0),
-		queued:   make(map[flow.ID]int),
 	}
 	if cfg.CacheSize > 0 {
 		m.cache = make([]flow.ID, cfg.CacheSize)
@@ -119,17 +124,49 @@ func New(k *sim.Kernel, cfg Config, hooks Hooks) *Manager {
 }
 
 // FlowCount returns DRAM-resident flows.
-func (m *Manager) FlowCount() int { return len(m.tcbs) }
+func (m *Manager) FlowCount() int {
+	n := 0
+	for i := range m.slots {
+		if m.slots[i].tcb != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// tcb returns the resident TCB of id, or nil.
+func (m *Manager) tcb(id flow.ID) *flow.TCB {
+	if int(id) < len(m.slots) {
+		return m.slots[id].tcb
+	}
+	return nil
+}
 
 // Has reports residency.
-func (m *Manager) Has(id flow.ID) bool {
-	_, ok := m.tcbs[id]
-	return ok
+func (m *Manager) Has(id flow.ID) bool { return m.tcb(id) != nil }
+
+// Holds reports whether the manager keeps any state for id: a resident
+// TCB or queued events. A flow ID must be free of both before reuse.
+func (m *Manager) Holds(id flow.ID) bool {
+	return m.Has(id) || (int(id) < len(m.slots) && m.slots[id].queued != 0)
+}
+
+// SlotBytes returns the allocated bytes of the per-flow slots.
+func (m *Manager) SlotBytes() int64 {
+	return int64(cap(m.slots)) * int64(unsafe.Sizeof(dramSlot{}))
+}
+
+// slot returns id's entry, growing the store to cover it.
+func (m *Manager) slot(id flow.ID) *dramSlot {
+	for int(id) >= len(m.slots) {
+		m.slots = append(m.slots, dramSlot{})
+	}
+	return &m.slots[id]
 }
 
 // Insert stores an evicted TCB (charging a DRAM write).
 func (m *Manager) Insert(t *flow.TCB) {
-	m.tcbs[t.FlowID] = t
+	m.slot(t.FlowID).tcb = t
 	t.EvictFlag = false
 	m.chargeAccess(t.FlowID, true)
 }
@@ -140,12 +177,12 @@ func (m *Manager) Insert(t *flow.TCB) {
 // into the TCB first so they migrate with it — the "handled events are
 // later processed in FPC" guarantee (§4.3.1).
 func (m *Manager) Extract(id flow.ID) (*flow.TCB, int64, bool) {
-	t, ok := m.tcbs[id]
-	if !ok {
+	t := m.tcb(id)
+	if t == nil {
 		return nil, 0, false
 	}
 	m.absorbQueued(t)
-	delete(m.tcbs, id)
+	m.slots[id].tcb = nil
 	m.uncache(id)
 	done := m.chargeAccess(id, false)
 	return t, done, true
@@ -156,10 +193,10 @@ func (m *Manager) Extract(id flow.ID) (*flow.TCB, int64, bool) {
 // pending count makes the common case (no queued events) free; the
 // queue rebuild only runs when events are actually present.
 func (m *Manager) absorbQueued(t *flow.TCB) {
-	if m.queued[t.FlowID] == 0 {
+	if m.slots[t.FlowID].queued == 0 {
 		return
 	}
-	delete(m.queued, t.FlowID)
+	m.slots[t.FlowID].queued = 0
 	keepIn := m.input
 	m.input = sim.NewQueue[flow.Event](0)
 	for {
@@ -192,7 +229,9 @@ func (m *Manager) absorbQueued(t *flow.TCB) {
 
 // Drop discards a DRAM-resident flow (connection freed while swapped out).
 func (m *Manager) Drop(id flow.ID) {
-	delete(m.tcbs, id)
+	if m.Has(id) {
+		m.slots[id].tcb = nil
+	}
 	m.uncache(id)
 }
 
@@ -201,16 +240,14 @@ func (m *Manager) EnqueueEvent(ev flow.Event) bool {
 	if !m.input.Push(ev) {
 		return false
 	}
-	m.queued[ev.Flow]++
+	m.slot(ev.Flow).queued++
 	return true
 }
 
 // unqueue decrements the per-flow pending count.
 func (m *Manager) unqueue(id flow.ID) {
-	if n := m.queued[id]; n <= 1 {
-		delete(m.queued, id)
-	} else {
-		m.queued[id] = n - 1
+	if s := &m.slots[id]; s.queued > 0 {
+		s.queued--
 	}
 }
 
@@ -266,7 +303,7 @@ func (m *Manager) Tick(cycle int64) {
 	}
 	// Start at most one new access per cycle.
 	if ev, ok := m.input.Peek(); ok {
-		if t := m.tcbs[ev.Flow]; t == nil {
+		if t := m.tcb(ev.Flow); t == nil {
 			m.input.Pop() // flow left DRAM while the event was queued
 			m.unqueue(ev.Flow)
 		} else {
@@ -296,7 +333,7 @@ func (m *Manager) Tick(cycle int64) {
 		}
 		m.inFlight.Pop()
 		m.unqueue(pe.ev.Flow)
-		t := m.tcbs[pe.ev.Flow]
+		t := m.tcb(pe.ev.Flow)
 		if t == nil {
 			continue
 		}

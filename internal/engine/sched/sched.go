@@ -7,6 +7,8 @@
 package sched
 
 import (
+	"unsafe"
+
 	"f4t/internal/engine/fpc"
 	"f4t/internal/engine/memmgr"
 	"f4t/internal/flow"
@@ -36,6 +38,18 @@ type migTarget struct {
 	reserved bool // a slot reservation is held at fpc
 }
 
+// flowState is the scheduler's per-flow slot, indexed by flow ID: the
+// location LUT entry plus the routing bookkeeping that rides with it.
+// The pending count and the swap-in flag drain with the queue entries
+// that carry the ID, so they may outlive the flow (see Holds).
+type flowState struct {
+	loc        locEntry
+	pending    int32 // events in the pending queue (order guard)
+	mig        migTarget
+	migrating  bool // mig holds an in-flight migration's target
+	swapQueued bool // dedupe: at most one queued swap-in request per flow
+}
+
 // pendingEv is an event waiting out a migration (§4.3.2).
 type pendingEv struct {
 	ev      flow.Event
@@ -48,7 +62,6 @@ const retryCycles = 12
 
 // Config parameterizes the scheduler.
 type Config struct {
-	MaxFlows      int
 	CoalesceFIFOs int  // reference design: 4
 	FIFODepth     int  // reference design: 16
 	Coalesce      bool // event coalescing enable (§4.4.1; off for the 1FPC ablation)
@@ -56,13 +69,12 @@ type Config struct {
 }
 
 // DefaultConfig returns the reference-design scheduler.
-func DefaultConfig(maxFlows, numFPCs int) Config {
+func DefaultConfig(numFPCs int) Config {
 	groups := (numFPCs + 1) / 2 // one route per two-cycle FPC slot (§4.4.2)
 	if groups < 1 {
 		groups = 1
 	}
 	return Config{
-		MaxFlows:      maxFlows,
 		CoalesceFIFOs: 4,
 		FIFODepth:     16,
 		Coalesce:      true,
@@ -77,22 +89,18 @@ type Scheduler struct {
 	fpcs []*fpc.FPC
 	mem  *memmgr.Manager
 
-	lut        []locEntry
-	fifos      []*sim.Queue[flow.Event]
-	pending    *sim.Queue[pendingEv]
-	pendingCnt map[flow.ID]int // flows with events in the pending queue (order guard)
-
-	migrations map[flow.ID]migTarget
-	swapReqs   *sim.Queue[flow.ID]
-	swapQueued map[flow.ID]bool // dedupe: at most one queued request per flow
-	evictBusy  []bool           // one outstanding eviction per FPC
+	flows     []flowState // indexed by flow ID; grows with AllocateFlow
+	fifos     []*sim.Queue[flow.Event]
+	pending   *sim.Queue[pendingEv]
+	swapReqs  *sim.Queue[flow.ID]
+	evictBusy []bool // one outstanding eviction per FPC
 
 	// Stats.
-	Routed       sim.Counter
-	Coalesced    sim.Counter
-	Backpressure sim.Counter
-	Migrations   sim.Counter
-	SwapIns      sim.Counter
+	Routed        sim.Counter
+	Coalesced     sim.Counter
+	Backpressure  sim.Counter
+	Migrations    sim.Counter
+	SwapIns       sim.Counter
 	DroppedEvents sim.Counter
 }
 
@@ -108,18 +116,14 @@ func New(k *sim.Kernel, cfg Config, fpcs []*fpc.FPC, mem *memmgr.Manager) *Sched
 		cfg.LUTGroups = 1
 	}
 	s := &Scheduler{
-		k:          k,
-		cfg:        cfg,
-		fpcs:       fpcs,
-		mem:        mem,
-		lut:        make([]locEntry, cfg.MaxFlows),
-		fifos:      make([]*sim.Queue[flow.Event], cfg.CoalesceFIFOs),
-		pending:    sim.NewQueue[pendingEv](0),
-		pendingCnt: make(map[flow.ID]int),
-		migrations: make(map[flow.ID]migTarget),
-		swapReqs:   sim.NewQueue[flow.ID](0),
-		swapQueued: make(map[flow.ID]bool),
-		evictBusy:  make([]bool, len(fpcs)),
+		k:         k,
+		cfg:       cfg,
+		fpcs:      fpcs,
+		mem:       mem,
+		fifos:     make([]*sim.Queue[flow.Event], cfg.CoalesceFIFOs),
+		pending:   sim.NewQueue[pendingEv](0),
+		swapReqs:  sim.NewQueue[flow.ID](0),
+		evictBusy: make([]bool, len(fpcs)),
 	}
 	for i := range s.fifos {
 		s.fifos[i] = sim.NewQueue[flow.Event](cfg.FIFODepth)
@@ -129,7 +133,10 @@ func New(k *sim.Kernel, cfg Config, fpcs []*fpc.FPC, mem *memmgr.Manager) *Sched
 
 // Location reports where a flow currently lives (testing/diagnostics).
 func (s *Scheduler) Location(id flow.ID) (inFPC bool, fpcIdx int, inDRAM, moving bool) {
-	e := s.lut[id]
+	if int(id) >= len(s.flows) {
+		return false, 0, false, false
+	}
+	e := s.flows[id].loc
 	switch e.kind {
 	case locFPC:
 		return true, int(e.fpc), false, false
@@ -144,6 +151,9 @@ func (s *Scheduler) Location(id flow.ID) (inFPC bool, fpcIdx int, inDRAM, moving
 // AllocateFlow places a new flow: the FPC with the lowest flow count
 // (§4.4.2), or DRAM when every FPC is full.
 func (s *Scheduler) AllocateFlow(t *flow.TCB) {
+	for int(t.FlowID) >= len(s.flows) {
+		s.flows = append(s.flows, flowState{})
+	}
 	best := -1
 	bestCount := 1 << 30
 	for i, f := range s.fpcs {
@@ -152,23 +162,41 @@ func (s *Scheduler) AllocateFlow(t *flow.TCB) {
 		}
 	}
 	if best >= 0 && s.fpcs[best].InstallNew(t) {
-		s.lut[t.FlowID] = locEntry{kind: locFPC, fpc: int8(best)}
+		s.flows[t.FlowID].loc = locEntry{kind: locFPC, fpc: int8(best)}
 		return
 	}
 	s.mem.Insert(t)
-	s.lut[t.FlowID] = locEntry{kind: locDRAM}
+	s.flows[t.FlowID].loc = locEntry{kind: locDRAM}
 }
 
-// FlowFreed clears all state for a terminated flow.
+// FlowFreed clears the location and any migration of a terminated flow
+// (and its DRAM copy).
 func (s *Scheduler) FlowFreed(id flow.ID) {
-	if s.lut[id].kind == locDRAM {
+	fs := &s.flows[id]
+	if fs.loc.kind == locDRAM {
 		s.mem.Drop(id)
 	}
-	if tgt, ok := s.migrations[id]; ok && tgt.reserved && !tgt.toDRAM {
-		s.fpcs[tgt.fpc].ReleaseReservation()
+	if fs.migrating && fs.mig.reserved && !fs.mig.toDRAM {
+		s.fpcs[fs.mig.fpc].ReleaseReservation()
 	}
-	s.lut[id] = locEntry{}
-	delete(s.migrations, id)
+	fs.loc = locEntry{}
+	fs.migrating = false
+}
+
+// Holds reports whether the scheduler still keeps per-flow state for id:
+// a location, queued pending events, a migration or a swap-in request.
+// A flow ID must be free of all four before it is reused.
+func (s *Scheduler) Holds(id flow.ID) bool {
+	if int(id) >= len(s.flows) {
+		return false
+	}
+	fs := &s.flows[id]
+	return fs.loc.kind != locFree || fs.pending != 0 || fs.migrating || fs.swapQueued
+}
+
+// SlotBytes returns the allocated bytes of the per-flow slots.
+func (s *Scheduler) SlotBytes() int64 {
+	return int64(cap(s.flows)) * int64(unsafe.Sizeof(flowState{}))
 }
 
 // Submit pushes one event into the coalesce stage. It reports false when
@@ -229,10 +257,10 @@ func (s *Scheduler) SubmitSpace(id flow.ID) bool {
 // Requests dedupe per flow: the check logic fires per handled event, but
 // one pending swap-in per flow suffices.
 func (s *Scheduler) RequestSwapIn(id flow.ID) {
-	if s.swapQueued[id] {
+	if s.flows[id].swapQueued {
 		return
 	}
-	s.swapQueued[id] = true
+	s.flows[id].swapQueued = true
 	s.swapReqs.Push(id)
 }
 
@@ -296,17 +324,21 @@ func (s *Scheduler) route(cycle int64) {
 		if !ok {
 			continue
 		}
+		fs := &flowState{} // IDs the engine never allocated route like freed flows
+		if int(ev.Flow) < len(s.flows) {
+			fs = &s.flows[ev.Flow]
+		}
 		// Order guard: a flow with events already waiting in the pending
 		// queue must not have later events overtake them.
-		if s.pendingCnt[ev.Flow] > 0 {
+		if fs.pending > 0 {
 			q.Pop()
 			s.toPending(ev, cycle)
 			routes++
 			continue
 		}
-		switch s.lut[ev.Flow].kind {
+		switch fs.loc.kind {
 		case locFPC:
-			f := s.fpcs[s.lut[ev.Flow].fpc]
+			f := s.fpcs[fs.loc.fpc]
 			if f.EnqueueEvent(ev) {
 				q.Pop()
 				s.Routed.Inc()
@@ -315,7 +347,7 @@ func (s *Scheduler) route(cycle int64) {
 				// Congested FPC: head-of-line wait, plus a load-balancing
 				// migration of this flow to the idlest FPC (§4.4.2).
 				s.Backpressure.Inc()
-				s.maybeRebalance(ev.Flow, int(s.lut[ev.Flow].fpc))
+				s.maybeRebalance(ev.Flow, int(fs.loc.fpc))
 			}
 		case locDRAM:
 			if s.mem.EnqueueEvent(ev) {
@@ -337,7 +369,7 @@ func (s *Scheduler) route(cycle int64) {
 
 func (s *Scheduler) toPending(ev flow.Event, cycle int64) {
 	s.pending.Push(pendingEv{ev: ev, retryAt: cycle + retryCycles})
-	s.pendingCnt[ev.Flow]++
+	s.flows[ev.Flow].pending++
 }
 
 // retryPending re-routes events whose retry interval elapsed (§4.3.2).
@@ -348,9 +380,10 @@ func (s *Scheduler) retryPending(cycle int64) {
 			return
 		}
 		ev := pe.ev
-		switch s.lut[ev.Flow].kind {
+		fs := &s.flows[ev.Flow]
+		switch fs.loc.kind {
 		case locFPC:
-			if !s.fpcs[s.lut[ev.Flow].fpc].EnqueueEvent(ev) {
+			if !s.fpcs[fs.loc.fpc].EnqueueEvent(ev) {
 				return // destination congested: hold position, retry later
 			}
 		case locDRAM:
@@ -364,18 +397,12 @@ func (s *Scheduler) retryPending(cycle int64) {
 			return
 		default:
 			s.pending.Pop()
-			s.pendingCnt[ev.Flow]--
-			if s.pendingCnt[ev.Flow] <= 0 {
-				delete(s.pendingCnt, ev.Flow)
-			}
+			fs.pending--
 			s.DroppedEvents.Inc()
 			continue
 		}
 		s.pending.Pop()
-		s.pendingCnt[ev.Flow]--
-		if s.pendingCnt[ev.Flow] <= 0 {
-			delete(s.pendingCnt, ev.Flow)
-		}
+		fs.pending--
 		s.Routed.Inc()
 	}
 }
@@ -411,8 +438,9 @@ func (s *Scheduler) processSwapIns(cycle int64) {
 		if !ok {
 			return
 		}
-		delete(s.swapQueued, id)
-		if s.lut[id].kind != locDRAM || !s.mem.Has(id) {
+		fs := &s.flows[id]
+		fs.swapQueued = false
+		if fs.loc.kind != locDRAM || !s.mem.Has(id) {
 			continue // already moved or freed
 		}
 		best, bestCount := -1, 1<<30
@@ -424,21 +452,21 @@ func (s *Scheduler) processSwapIns(cycle int64) {
 		if best < 0 || !s.fpcs[best].ReserveSlot() {
 			// Every FPC full: make room by evicting a cold flow, recycle
 			// the request to the tail, and retry later.
-			s.swapQueued[id] = true
+			fs.swapQueued = true
 			s.swapReqs.Push(id)
 			s.makeRoom()
 			return
 		}
 		s.SwapIns.Inc()
-		s.lut[id] = locEntry{kind: locMoving}
+		fs.loc = locEntry{kind: locMoving}
 		tcb, readyAt, found := s.mem.Extract(id)
 		if !found {
 			s.fpcs[best].ReleaseReservation()
-			s.lut[id] = locEntry{}
+			fs.loc = locEntry{}
 			continue
 		}
 		target := best
-		s.migrations[tcb.FlowID] = migTarget{fpc: target, reserved: true}
+		fs.mig, fs.migrating = migTarget{fpc: target, reserved: true}, true
 		s.k.At(readyAt, func() {
 			// The reservation guarantees capacity.
 			s.fpcs[target].AcceptTCB(tcb)
@@ -468,7 +496,8 @@ func (s *Scheduler) makeRoom() {
 // startMigration sets the moving state and the evict flag (§4.3.2: both
 // at the same time, which blocks routing of new input events).
 func (s *Scheduler) startMigration(id flow.ID, from int, tgt migTarget) {
-	if s.lut[id].kind != locFPC {
+	fs := &s.flows[id]
+	if fs.loc.kind != locFPC {
 		return
 	}
 	if !s.fpcs[from].RequestEvict(id) {
@@ -476,19 +505,19 @@ func (s *Scheduler) startMigration(id flow.ID, from int, tgt migTarget) {
 	}
 	s.Migrations.Inc()
 	s.evictBusy[from] = true
-	s.migrations[id] = tgt
-	s.lut[id] = locEntry{kind: locMoving}
+	fs.mig, fs.migrating = tgt, true
+	fs.loc = locEntry{kind: locMoving}
 }
 
 // Evicted receives a TCB captured by an FPC's evict checker and forwards
 // it to its migration target.
 func (s *Scheduler) Evicted(from int, t *flow.TCB) {
 	s.evictBusy[from] = false
-	tgt, ok := s.migrations[t.FlowID]
-	if !ok || tgt.toDRAM {
-		delete(s.migrations, t.FlowID)
+	fs := &s.flows[t.FlowID]
+	if !fs.migrating || fs.mig.toDRAM {
+		fs.migrating = false
 		s.mem.Insert(t)
-		s.lut[t.FlowID] = locEntry{kind: locDRAM}
+		fs.loc = locEntry{kind: locDRAM}
 		// Events that were handled during the eviction window travel with
 		// the TCB; the check logic decides whether they warrant a swap
 		// back in (§4.3.1) — a bare window update does not.
@@ -498,29 +527,31 @@ func (s *Scheduler) Evicted(from int, t *flow.TCB) {
 		return
 	}
 	// FPC→FPC rebalancing move; the reservation guarantees capacity.
-	if s.fpcs[tgt.fpc].AcceptTCB(t) {
+	if s.fpcs[fs.mig.fpc].AcceptTCB(t) {
 		return // Installed() will finalize
 	}
-	delete(s.migrations, t.FlowID)
+	fs.migrating = false
 	s.mem.Insert(t)
-	s.lut[t.FlowID] = locEntry{kind: locDRAM}
+	fs.loc = locEntry{kind: locDRAM}
 }
 
 // EvictAborted releases an eviction slot whose flow terminated during
 // its final FPU pass, returning any reservation held at the target.
 func (s *Scheduler) EvictAborted(from int, id flow.ID) {
 	s.evictBusy[from] = false
-	if tgt, ok := s.migrations[id]; ok && tgt.reserved && !tgt.toDRAM {
-		s.fpcs[tgt.fpc].ReleaseReservation()
+	fs := &s.flows[id]
+	if fs.migrating && fs.mig.reserved && !fs.mig.toDRAM {
+		s.fpcs[fs.mig.fpc].ReleaseReservation()
 	}
-	delete(s.migrations, id)
+	fs.migrating = false
 }
 
 // Installed is the FPC's signal that a migrated TCB landed in its table;
 // the LUT flips to the new location and routing resumes (§4.3.2).
 func (s *Scheduler) Installed(fpcIdx int, id flow.ID) {
-	delete(s.migrations, id)
-	s.lut[id] = locEntry{kind: locFPC, fpc: int8(fpcIdx)}
+	fs := &s.flows[id]
+	fs.migrating = false
+	fs.loc = locEntry{kind: locFPC, fpc: int8(fpcIdx)}
 }
 
 // PendingEvents returns the pending-queue depth (bounded-queue invariant

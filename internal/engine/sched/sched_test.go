@@ -37,7 +37,7 @@ func newRig(numFPCs, slots int) *rig {
 		})
 		r.fpcs = append(r.fpcs, f)
 	}
-	r.s = New(k, DefaultConfig(4096, numFPCs), r.fpcs, r.mem)
+	r.s = New(k, DefaultConfig(numFPCs), r.fpcs, r.mem)
 	k.Register(sim.TickerFunc(func(c int64) {
 		r.s.Tick(c)
 		for _, f := range r.fpcs {
@@ -141,7 +141,7 @@ func TestCoalescingDisabledByConfig(t *testing.T) {
 	alg := cc.MustNew("newreno")
 	mem := memmgr.New(k, memmgr.DefaultConfig(memmgr.HBM), memmgr.Hooks{})
 	f := fpc.New(k, fpc.Config{Slots: 4, Alg: alg, Proto: &proto}, fpc.Hooks{})
-	cfg := DefaultConfig(64, 1)
+	cfg := DefaultConfig(1)
 	cfg.Coalesce = false
 	s := New(k, cfg, []*fpc.FPC{f}, mem)
 	s.AllocateFlow(estTCB(1))
@@ -259,7 +259,7 @@ func TestReservationAccountingUnderChurn(t *testing.T) {
 		for i := flow.ID(0); i < 32; i++ {
 			inFPC, fi, inDRAM, moving := r.s.Location(i)
 			if !inFPC && !inDRAM {
-				t.Logf("flow %d: fpc=%v(%d) dram=%v moving=%v migTarget=%+v", i, inFPC, fi, inDRAM, moving, r.s.migrations[i])
+				t.Logf("flow %d: fpc=%v(%d) dram=%v moving=%v slot=%+v", i, inFPC, fi, inDRAM, moving, r.s.flows[i])
 			}
 		}
 		t.Fatalf("flows accounted after quiesce = %d/32 (pending=%d swapQ=%d)", total, r.s.PendingEvents(), r.s.swapReqs.Len())

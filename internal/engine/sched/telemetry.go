@@ -13,5 +13,13 @@ func (s *Scheduler) Instrument(reg *telemetry.Registry, prefix string) {
 	reg.Counter(prefix+".swap_ins", &s.SwapIns)
 	reg.Counter(prefix+".dropped_events", &s.DroppedEvents)
 	reg.Gauge(prefix+".pending_events", func() int64 { return int64(s.PendingEvents()) })
-	reg.Gauge(prefix+".migrations_inflight", func() int64 { return int64(len(s.migrations)) })
+	reg.Gauge(prefix+".migrations_inflight", func() int64 {
+		n := 0
+		for i := range s.flows {
+			if s.flows[i].migrating {
+				n++
+			}
+		}
+		return int64(n)
+	})
 }

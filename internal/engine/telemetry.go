@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"unsafe"
 
 	"f4t/internal/flow"
 	"f4t/internal/telemetry"
@@ -23,7 +24,8 @@ func (e *Engine) Instrument(reg *telemetry.Registry, prefix string) {
 	reg.Counter(prefix+".flows_rejected", &e.FlowsRejected)
 	reg.Counter(prefix+".retrans_segs", &e.RetransSegs)
 	reg.Counter(prefix+".oow_rst_drops", &e.OowRstDrops)
-	reg.Gauge(prefix+".flows", func() int64 { return int64(len(e.flows)) })
+	reg.Counter(prefix+".flow_slot_violations", &e.FlowSlotViolations)
+	reg.Gauge(prefix+".flows", func() int64 { return int64(e.live) })
 	reg.Gauge(prefix+".rx_queue", func() int64 { return int64(e.rxQueue.Len()) })
 
 	e.sch.Instrument(reg, prefix+".sched")
@@ -38,12 +40,24 @@ func (e *Engine) Instrument(reg *telemetry.Registry, prefix string) {
 }
 
 // InstrumentMem registers the engine's per-flow memory probes on a
-// footprint accountant: the TCB arena, the parser's flow table, the
-// parser-flow arena (embedded reassemblers included) and out-of-order
-// reassembly buffers. Probes are evaluated only at snapshot time.
+// footprint accountant: the TCB arena, the per-ID flow slots of the
+// engine, scheduler, memory manager, FPC CAMs and attached host
+// libraries, the parser's flow table, the parser-flow arena (embedded
+// reassemblers included) and out-of-order reassembly buffers. Probes
+// are evaluated only at snapshot time.
 func (e *Engine) InstrumentMem(fp *telemetry.Footprint, prefix string) {
 	fp.Add(prefix+".tcb_arena", func() (int64, int64) {
-		return int64(len(e.flows)), e.tcbs.memBytes()
+		return int64(e.live), e.tcbs.memBytes()
+	})
+	fp.Add(prefix+".flow_slots", func() (int64, int64) {
+		b := int64(cap(e.flows))*int64(unsafe.Sizeof(flowSlot{})) + e.sch.SlotBytes() + e.mem.SlotBytes()
+		for _, f := range e.fpcs {
+			b += f.SlotBytes()
+		}
+		for _, probe := range e.slotProbes {
+			b += probe()
+		}
+		return int64(e.live), b
 	})
 	fp.Add(prefix+".flow_table", func() (int64, int64) {
 		m := e.parser.Mem()
@@ -87,11 +101,17 @@ func (e *Engine) SetTracer(trc *telemetry.Trace, name string, baseTID int32) int
 // refresh cwnd/RTT/byte-pointer snapshots periodically.
 func (e *Engine) SetFlowTable(ft *telemetry.FlowTable) { e.ft = ft }
 
-// VisitTCBs invokes fn for every live flow's TCB (iteration order is
-// unspecified). Telemetry collectors use this to observe per-flow state;
+// VisitTCBs invokes fn for every live flow's TCB in flow-ID order.
+// Telemetry collectors use this to observe per-flow state;
 // fn must not mutate the TCB.
 func (e *Engine) VisitTCBs(fn func(*flow.TCB)) {
-	for _, fm := range e.flows {
-		fn(fm.tcb)
+	for i := range e.flows {
+		if t := e.flows[i].tcb; t != nil {
+			fn(t)
+		}
 	}
 }
+
+// AddSlotProbe registers a host library's per-flow slot footprint with
+// the engine's flow_slots memory probe (see InstrumentMem).
+func (e *Engine) AddSlotProbe(bytes func() int64) { e.slotProbes = append(e.slotProbes, bytes) }

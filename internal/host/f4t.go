@@ -34,11 +34,10 @@ func NewF4TMachine(k *sim.Kernel, eng *engine.Engine, cores int, costs cpu.Costs
 	}
 	for i := 0; i < cores; i++ {
 		th := &f4tThread{
-			m:     m,
-			idx:   i,
-			core:  m.pool.Cores[i],
-			lib:   softstack.NewLib(k, eng, i),
-			conns: make(map[*softstack.Socket]*f4tConn),
+			m:    m,
+			idx:  i,
+			core: m.pool.Cores[i],
+			lib:  softstack.NewLib(k, eng, i),
 		}
 		m.threads = append(m.threads, th)
 	}
@@ -97,7 +96,8 @@ type f4tThread struct {
 	idx   int
 	core  *cpu.Core
 	lib   *softstack.Lib
-	conns map[*softstack.Socket]*f4tConn
+	conns []*f4tConn // indexed by the socket's flow ID
+	dials []*f4tConn // dialed sockets still waiting for their flow ID
 
 	listening map[uint16]bool
 
@@ -120,7 +120,38 @@ func (t *f4tThread) Dial(remoteIdx int, port uint16) Conn {
 		return nil
 	}
 	c := &f4tConn{th: t, sock: s}
-	t.conns[s] = c
+	t.dials = append(t.dials, c)
+	return c
+}
+
+// conn returns the adapter of s: by flow ID once s is bound, else the
+// one Dial made for it, else a new one. A socket's first event carries
+// its flow ID except a refused dial's hangup, which never binds.
+func (t *f4tThread) conn(s *softstack.Socket) *f4tConn {
+	if s.Bound() && int(s.ID) < len(t.conns) {
+		if c := t.conns[s.ID]; c != nil && c.sock == s {
+			return c
+		}
+	}
+	var c *f4tConn
+	for i, d := range t.dials {
+		if d.sock == s {
+			c = d
+			last := len(t.dials) - 1
+			t.dials[i], t.dials[last] = t.dials[last], nil
+			t.dials = t.dials[:last]
+			break
+		}
+	}
+	if c == nil {
+		c = &f4tConn{th: t, sock: s}
+	}
+	if s.Bound() {
+		for int(s.ID) >= len(t.conns) {
+			t.conns = append(t.conns, nil)
+		}
+		t.conns[s.ID] = c
+	}
 	return c
 }
 
@@ -140,11 +171,7 @@ func (t *f4tThread) Poll() []ConnEvent {
 	}
 	out := t.evScratch[:0]
 	for _, ev := range evs {
-		c := t.conns[ev.Sock]
-		if c == nil {
-			c = &f4tConn{th: t, sock: ev.Sock}
-			t.conns[ev.Sock] = c
-		}
+		c := t.conn(ev.Sock)
 		var kind ConnEventKind
 		switch ev.Kind {
 		case softstack.EvConnected:
@@ -157,7 +184,9 @@ func (t *f4tThread) Poll() []ConnEvent {
 			kind = EvWritable
 		case softstack.EvHangup:
 			kind = EvHangup
-			delete(t.conns, ev.Sock)
+			if ev.Sock.Bound() {
+				t.conns[ev.Sock.ID] = nil
+			}
 		}
 		out = append(out, ConnEvent{Kind: kind, Conn: c})
 	}

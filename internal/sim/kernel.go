@@ -111,10 +111,10 @@ type Fabric interface {
 // cross-shard events into a shard's heap reproduces exactly the firing
 // order a single serial kernel would have used.
 type timerEvent struct {
-	cycle  int64 // fire cycle
-	icycle int64 // insertion cycle
-	slot   int32 // inserting context's global slot (-1 = external)
-	sub    int64 // per-context insertion counter
+	cycle  int64         // fire cycle
+	icycle int64         // insertion cycle
+	slot   int32         // inserting context's global slot (-1 = external)
+	sub    int64         // per-context insertion counter
 	fn     func()        // closure form (At)
 	call   func(arg any) // call form (AtCall); fires call(arg) when non-nil
 	arg    any
@@ -196,7 +196,7 @@ type Kernel struct {
 	cycle     int64
 	tickers   []tickerEntry
 	index     map[Ticker]int // identity → slot index, comparable tickers only
-	slotIndex map[int32]int  // global slot → tickers index
+	slotIndex []int          // global slot → tickers index, -1 = another shard's
 	opaque    int            // registered tickers without NextWork
 	timers    timerHeap
 	nextSlot  int32
@@ -278,8 +278,8 @@ func (k *Kernel) RegisterSlot(t Ticker, slot int32) {
 		k.opaque++
 	}
 	k.tickers = append(k.tickers, e)
-	if k.slotIndex == nil {
-		k.slotIndex = make(map[int32]int)
+	for int(slot) >= len(k.slotIndex) {
+		k.slotIndex = append(k.slotIndex, -1)
 	}
 	k.slotIndex[slot] = len(k.tickers) - 1
 	if slot >= k.nextSlot {
@@ -380,8 +380,8 @@ func (k *Kernel) Step() {
 		// delivery)" stay ordered by the originating slot. A foreign
 		// slot (cross-shard delivery) has no local counter; its
 		// callback may not schedule local timers.
-		if idx, ok := k.slotIndex[ev.slot]; ok {
-			k.curSlot, k.curSub = ev.slot, &k.tickers[idx].sub
+		if ev.slot >= 0 && int(ev.slot) < len(k.slotIndex) && k.slotIndex[ev.slot] >= 0 {
+			k.curSlot, k.curSub = ev.slot, &k.tickers[k.slotIndex[ev.slot]].sub
 		} else if ev.slot < 0 {
 			k.curSlot, k.curSub = -1, &k.extSub
 		} else {

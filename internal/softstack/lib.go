@@ -23,11 +23,11 @@ type EventKind uint8
 
 // Readiness events surfaced by Poll.
 const (
-	EvReadable EventKind = iota // new in-order data available
-	EvWritable                  // send-buffer space released
-	EvAccepted                  // new passive connection established
-	EvConnected                 // active connect finished
-	EvHangup                    // peer closed or reset
+	EvReadable  EventKind = iota // new in-order data available
+	EvWritable                   // send-buffer space released
+	EvAccepted                   // new passive connection established
+	EvConnected                  // active connect finished
+	EvHangup                     // peer closed or reset
 )
 
 // Event is one epoll entry (the library's internal linked list of
@@ -44,7 +44,7 @@ type Lib struct {
 	ch    *hostif.Channel
 	chIdx int
 
-	socks     map[flow.ID]*Socket
+	socks     []*Socket          // indexed by flow ID; nil = no socket
 	dialWait  map[uint16]*Socket // local port → socket awaiting CompAccepted
 	listeners map[uint16]bool
 	nextPort  uint16
@@ -60,16 +60,33 @@ type Lib struct {
 
 // NewLib binds a library instance to channel chIdx of the engine.
 func NewLib(k *sim.Kernel, eng *engine.Engine, chIdx int) *Lib {
-	return &Lib{
+	l := &Lib{
 		k:         k,
 		eng:       eng,
 		ch:        eng.Channels[chIdx],
 		chIdx:     chIdx,
-		socks:     make(map[flow.ID]*Socket),
 		dialWait:  make(map[uint16]*Socket),
 		listeners: make(map[uint16]bool),
 		nextPort:  uint16(10000 + chIdx*2000),
 	}
+	eng.AddSlotProbe(func() int64 { return int64(cap(l.socks)) * 8 }) // one pointer per flow ID
+	return l
+}
+
+// sock returns the socket bound to a flow ID, or nil.
+func (l *Lib) sock(id flow.ID) *Socket {
+	if int(id) < len(l.socks) {
+		return l.socks[id]
+	}
+	return nil
+}
+
+// bind records s as the socket of its flow ID.
+func (l *Lib) bind(s *Socket) {
+	for int(s.ID) >= len(l.socks) {
+		l.socks = append(l.socks, nil)
+	}
+	l.socks[s.ID] = s
 }
 
 // post sends one command, tracking queue-full back-offs.
@@ -169,17 +186,17 @@ func (l *Lib) apply(comp hostif.Completion) {
 			delete(l.dialWait, comp.Port)
 			s.ID = comp.Flow
 			s.bound = true
-			l.socks[comp.Flow] = s
+			l.bind(s)
 		}
 	case hostif.CompEstablished:
-		s := l.socks[comp.Flow]
+		s := l.sock(comp.Flow)
 		if s == nil {
 			// Passive connection dispatched to this thread's queue.
 			if !l.listeners[comp.Port] {
 				return
 			}
 			s = &Socket{lib: l, ID: comp.Flow, localPort: comp.Port, bound: true, passive: true}
-			l.socks[comp.Flow] = s
+			l.bind(s)
 		}
 		s.anchor(comp.Seq, comp.Seq2)
 		s.Established = true
@@ -189,24 +206,24 @@ func (l *Lib) apply(comp hostif.Completion) {
 			l.events = append(l.events, Event{Kind: EvConnected, Sock: s})
 		}
 	case hostif.CompAcked:
-		if s := l.socks[comp.Flow]; s != nil {
+		if s := l.sock(comp.Flow); s != nil {
 			s.ackedTo = comp.Seq
 			l.events = append(l.events, Event{Kind: EvWritable, Sock: s})
 		}
 	case hostif.CompDelivered:
-		if s := l.socks[comp.Flow]; s != nil {
+		if s := l.sock(comp.Flow); s != nil {
 			s.deliveredTo = comp.Seq
 			l.events = append(l.events, Event{Kind: EvReadable, Sock: s})
 		}
 	case hostif.CompPeerClosed:
-		if s := l.socks[comp.Flow]; s != nil {
+		if s := l.sock(comp.Flow); s != nil {
 			s.PeerClosed = true
 			l.events = append(l.events, Event{Kind: EvHangup, Sock: s})
 		}
 	case hostif.CompClosed:
-		if s := l.socks[comp.Flow]; s != nil {
+		if s := l.sock(comp.Flow); s != nil {
 			s.Closed = true
-			delete(l.socks, comp.Flow)
+			l.socks[comp.Flow] = nil
 			l.events = append(l.events, Event{Kind: EvHangup, Sock: s})
 		}
 	case hostif.CompReset:
@@ -220,10 +237,10 @@ func (l *Lib) apply(comp hostif.Completion) {
 			s.WasReset = true
 			s.Closed = true
 			l.events = append(l.events, Event{Kind: EvHangup, Sock: s})
-		} else if s := l.socks[comp.Flow]; s != nil {
+		} else if s := l.sock(comp.Flow); s != nil {
 			s.WasReset = true
 			s.Closed = true
-			delete(l.socks, comp.Flow)
+			l.socks[comp.Flow] = nil
 			l.events = append(l.events, Event{Kind: EvHangup, Sock: s})
 		}
 	}
@@ -252,6 +269,9 @@ type Socket struct {
 	WasReset    bool
 	closeSent   bool
 }
+
+// Bound reports whether the socket has its flow ID.
+func (s *Socket) Bound() bool { return s.bound }
 
 // LocalPort returns the port this socket is bound to.
 func (s *Socket) LocalPort() uint16 { return s.localPort }

@@ -10,14 +10,17 @@ import (
 // Conn is one TCP connection's host-side view: the byte-stream pointers
 // the application manipulates (write/consume) plus the mirrors maintained
 // from stack notifications.
+//
+// Fields are ordered so the struct packs into 144 B, the per-connection
+// cost the flow-scale memory accounting reports.
 type Conn struct {
-	ep   *Endpoint
-	ID   flow.ID
-	TCB  *flow.TCB
-	alg  cc.Algorithm
-	meta datapath.FlowMeta
-
+	ep     *Endpoint
+	TCB    *flow.TCB
+	alg    cc.Algorithm
 	txRing *datapath.Ring
+	rxRing *datapath.Ring // the parser's receive ring; unread once freed
+	ID     flow.ID
+	meta   datapath.FlowMeta
 
 	// Host-visible mirrors (updated by notifications).
 	Established bool
@@ -132,8 +135,8 @@ func (c *Conn) Recv(max int) ([]byte, int) {
 		return nil, 0
 	}
 	var out []byte
-	if ring := c.ep.parser.Ring(c.ID); ring != nil {
-		out = ring.ReadAt(c.readPtr, n)
+	if c.rxRing != nil && !c.freed {
+		out = c.rxRing.ReadAt(c.readPtr, n)
 	}
 	c.readPtr = c.readPtr.Add(seqnum.Size(n))
 	ev := flow.Event{Kind: flow.EvUser, Flow: c.ID, HasRead: true, AppRead: c.readPtr}
@@ -158,8 +161,8 @@ func (c *Conn) ReadPtr() seqnum.Value { c.initPtrs(); return c.readPtr }
 // consuming them (the consume is PostRecv). The caller must keep
 // [ptr, ptr+len(buf)) within [readPtr, DeliveredTo).
 func (c *Conn) ReadAt(ptr seqnum.Value, buf []byte) {
-	if ring := c.ep.parser.Ring(c.ID); ring != nil {
-		ring.ReadInto(ptr, buf)
+	if c.rxRing != nil && !c.freed {
+		c.rxRing.ReadInto(ptr, buf)
 	}
 }
 

@@ -35,9 +35,9 @@ type Options struct {
 // Hooks let owners observe endpoint activity (the Linux model charges
 // CPU cycles here; tests assert on it). All hooks may be nil.
 type Hooks struct {
-	OnTx      func(pkt *wire.Packet)             // a packet is handed to the wire
-	OnProcess func(c *Conn, ev *flow.Event)      // one event is about to be processed
-	OnNote    func(c *Conn, note *tcpproc.Note)  // a host notification fired
+	OnTx      func(pkt *wire.Packet)            // a packet is handed to the wire
+	OnProcess func(c *Conn, ev *flow.Event)     // one event is about to be processed
+	OnNote    func(c *Conn, note *tcpproc.Note) // a host notification fired
 }
 
 // Endpoint is one host's TCP stack instance.
@@ -64,11 +64,11 @@ type Endpoint struct {
 	actions tcpproc.Actions // scratch, reused across processing passes
 
 	// Stats.
-	RxPkts, TxPkts       int64
-	RxNoFlow, RxDropped  int64
-	RxOowRsts            int64 // inbound RSTs dropped by sequence validation
-	FlowsRejected        int64 // opens refused: MaxFlows reached or flow table full
-	ProcessedEvents      int64
+	RxPkts, TxPkts      int64
+	RxNoFlow, RxDropped int64
+	RxOowRsts           int64 // inbound RSTs dropped by sequence validation
+	FlowsRejected       int64 // opens refused: MaxFlows reached or flow table full
+	ProcessedEvents     int64
 }
 
 // New builds an endpoint. tx is the wire transmit function (attach the
@@ -198,6 +198,7 @@ func (e *Endpoint) newConn(tuple wire.FourTuple) *Conn {
 		TCB:    t,
 		alg:    cc.MustNew(e.Opt.Alg),
 		txRing: txRing,
+		rxRing: rxRing,
 	}
 	c.meta = datapath.FlowMeta{Tuple: tuple, LocalMAC: e.Opt.MAC}
 	if !e.parser.Register(tuple, id, rxRing) {
@@ -493,10 +494,10 @@ func (e *Endpoint) Ping(ip wire.Addr, id, seq uint16, payload []byte) bool {
 		return false
 	}
 	e.transmit(&wire.Packet{
-		Kind: wire.KindICMP,
-		Eth:  wire.EthHeader{Src: e.Opt.MAC, Dst: mac, Type: wire.EtherTypeIPv4},
-		IP:   wire.IPv4Header{Src: e.Opt.IP, Dst: ip, TTL: wire.DefaultTTL, Protocol: wire.ProtoICMP},
-		ICMP: wire.ICMPEcho{Type: wire.ICMPEchoRequest, ID: id, Seq: seq},
+		Kind:       wire.KindICMP,
+		Eth:        wire.EthHeader{Src: e.Opt.MAC, Dst: mac, Type: wire.EtherTypeIPv4},
+		IP:         wire.IPv4Header{Src: e.Opt.IP, Dst: ip, TTL: wire.DefaultTTL, Protocol: wire.ProtoICMP},
+		ICMP:       wire.ICMPEcho{Type: wire.ICMPEchoRequest, ID: id, Seq: seq},
 		PayloadLen: len(payload), Payload: payload,
 	})
 	return true
