@@ -17,6 +17,7 @@ type fakeConn struct {
 	sendSpace   int
 	events      *[]host.ConnEvent
 	closed      bool
+	recvd       int // bytes consumed by the app
 }
 
 func (c *fakeConn) TrySend(n int, _ []byte) int { return c.SendQueued(n, nil) }
@@ -44,6 +45,7 @@ func (c *fakeConn) RecvQueued(max int) int {
 		n = max
 	}
 	c.avail -= n
+	c.recvd += n
 	return n
 }
 func (c *fakeConn) Available() int    { return c.avail }
@@ -132,6 +134,68 @@ func TestHTTPServerServesWrk(t *testing.T) {
 	// The server charged app + kernel work.
 	if serverTh.core.Spent(cpu.CatApp) == 0 || serverTh.core.Spent(cpu.CatKernel) == 0 {
 		t.Fatal("HTTP server charged no app/kernel work")
+	}
+}
+
+// TestWrkFlowsPastFirstWord runs 130 flows on one thread: flows 64-129
+// live in the second and third words of the thread's ready set, and
+// each must keep completing responses. The server's busy core leaves
+// most flows awaiting with nothing to read, so they leave the set and
+// depend on EvReadable to return.
+func TestWrkFlowsPastFirstWord(t *testing.T) {
+	const flows, resp = 130, 256
+	k := sim.New()
+	serverTh := newFakeThread(k, nil)
+	clientTh := newFakeThread(k, serverTh)
+	costs := cpu.DefaultCosts()
+	srv := NewHTTPServer([]host.Thread{serverTh}, 80, 128, resp, costs)
+	wrk := NewWrk(k, []host.Thread{clientTh}, 0, 80, 128, resp, flows, costs)
+	k.Register(srv)
+	k.Register(wrk)
+	k.Run(2_000_000)
+	if !wrk.Ready() || len(wrk.flows[0]) != flows {
+		t.Fatalf("%d of %d flows dialed", len(wrk.flows[0]), flows)
+	}
+	for j := 64; j < flows; j++ {
+		if got := wrk.flows[0][j].conn.(*fakeConn).recvd; got < 2*resp {
+			t.Fatalf("flow %d received %d bytes, want at least two %d B responses", j, got, resp)
+		}
+	}
+}
+
+// TestWrkPartialResponseRearms reads a response in two parts: after the
+// first part the flow awaits with nothing to read and leaves the ready
+// set; the EvReadable for the rest brings it back.
+func TestWrkPartialResponseRearms(t *testing.T) {
+	const resp = 256
+	k := sim.New()
+	th := newFakeThread(k, nil)
+	wrk := NewWrk(k, []host.Thread{th}, 0, 80, 128, resp, 1, cpu.DefaultCosts())
+	k.Register(wrk)
+	k.Run(10_000)
+	if len(wrk.flows[0]) != 1 {
+		t.Fatal("flow not dialed")
+	}
+	f := wrk.flows[0][0]
+	c := f.conn.(*fakeConn)
+	if !f.awaiting || wrk.ready[0].Next(0) != -1 {
+		t.Fatalf("request sent: awaiting=%v, ready member %d; want awaiting and an empty set", f.awaiting, wrk.ready[0].Next(0))
+	}
+	deliver := func(n int) {
+		c.avail += n
+		th.events = append(th.events, host.ConnEvent{Kind: host.EvReadable, Conn: c})
+		k.Run(10_000)
+	}
+	deliver(100)
+	if f.got != 100 || wrk.Responses.Total() != 0 {
+		t.Fatalf("after a 100 B part: got=%d responses=%d", f.got, wrk.Responses.Total())
+	}
+	if wrk.ready[0].Next(0) != -1 {
+		t.Fatal("flow awaiting with nothing to read stayed in the ready set")
+	}
+	deliver(resp - 100)
+	if wrk.Responses.Total() != 1 || c.recvd != resp {
+		t.Fatalf("after the rest: responses=%d recvd=%d, want 1 and %d", wrk.Responses.Total(), c.recvd, resp)
 	}
 }
 

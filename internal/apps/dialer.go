@@ -13,6 +13,9 @@ type dialer struct {
 	conns     [][]host.Conn
 	estPtr    []int // prefix of conns known established (ramp window)
 	onOpen    func(threadIdx int, c host.Conn)
+	// done: every wanted connection is dialed and established. A
+	// connection never leaves the established state, so it stays set.
+	done bool
 }
 
 // dialsPerTick bounds connection-establishment pace per thread.
@@ -39,7 +42,10 @@ func newDialer(threads []host.Thread, remoteIdx int, port uint16, perThread int,
 
 // tick opens missing connections; returns true when all are dialed.
 func (d *dialer) tick() bool {
-	done := true
+	if d.done {
+		return true
+	}
+	done, est := true, true
 	for i, th := range d.threads {
 		// Connections establish roughly in dial order; advance the
 		// established prefix to measure the outstanding window cheaply.
@@ -62,7 +68,11 @@ func (d *dialer) tick() bool {
 		if len(d.conns[i]) < d.want {
 			done = false
 		}
+		if d.estPtr[i] < d.want {
+			est = false
+		}
 	}
+	d.done = est
 	return done
 }
 
@@ -70,6 +80,9 @@ func (d *dialer) tick() bool {
 // (established or not). Until then tick actively opens connections
 // every cycle, so the owning app must report itself busy.
 func (d *dialer) complete() bool {
+	if d.done {
+		return true
+	}
 	for i := range d.conns {
 		if len(d.conns[i]) < d.want {
 			return false
@@ -81,6 +94,9 @@ func (d *dialer) complete() bool {
 // allEstablished reports whether every wanted connection exists and
 // finished its handshake.
 func (d *dialer) allEstablished() bool {
+	if d.done {
+		return true
+	}
 	for i := range d.threads {
 		if len(d.conns[i]) < d.want {
 			return false
@@ -91,6 +107,7 @@ func (d *dialer) allEstablished() bool {
 			}
 		}
 	}
+	d.done = true
 	return true
 }
 

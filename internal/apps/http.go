@@ -18,12 +18,18 @@ type HTTPServer struct {
 	respSize int
 	costs    cpu.Costs
 
-	ready   map[host.Conn]int // buffered request bytes per connection
-	queued  map[host.Conn]bool
+	conns   map[host.Conn]*httpConn
 	pending []*sim.Queue[host.Conn] // per-thread round-robin service queues
 
 	// Requests counts responses sent (Fig 10's metric, server side).
 	Requests sim.Counter
+}
+
+// httpConn is the server's state for one connection, kept until it
+// hangs up.
+type httpConn struct {
+	ready  int  // buffered request bytes
+	queued bool // in its thread's service queue
 }
 
 // NewHTTPServer listens on port with every thread.
@@ -33,8 +39,7 @@ func NewHTTPServer(threads []host.Thread, port uint16, reqSize, respSize int, co
 		reqSize:  reqSize,
 		respSize: respSize,
 		costs:    costs,
-		ready:    make(map[host.Conn]int),
-		queued:   make(map[host.Conn]bool),
+		conns:    make(map[host.Conn]*httpConn),
 	}
 	for _, th := range threads {
 		th.Listen(port)
@@ -43,11 +48,11 @@ func NewHTTPServer(threads []host.Thread, port uint16, reqSize, respSize int, co
 	return s
 }
 
-func (s *HTTPServer) enqueue(i int, c host.Conn) {
-	if s.queued[c] {
+func (s *HTTPServer) enqueue(i int, c host.Conn, st *httpConn) {
+	if st.queued {
 		return
 	}
-	s.queued[c] = true
+	st.queued = true
 	s.pending[i].Push(c)
 }
 
@@ -59,10 +64,14 @@ func (s *HTTPServer) Tick(int64) {
 		for _, ev := range th.Poll() {
 			switch ev.Kind {
 			case host.EvReadable:
-				s.enqueue(i, ev.Conn)
+				st := s.conns[ev.Conn]
+				if st == nil {
+					st = &httpConn{}
+					s.conns[ev.Conn] = st
+				}
+				s.enqueue(i, ev.Conn, st)
 			case host.EvHangup:
-				delete(s.ready, ev.Conn)
-				delete(s.queued, ev.Conn)
+				delete(s.conns, ev.Conn)
 			}
 		}
 		// Round-robin service: one request per connection per turn, so
@@ -73,15 +82,14 @@ func (s *HTTPServer) Tick(int64) {
 			if !ok {
 				break
 			}
-			if !s.queued[c] {
+			st := s.conns[c]
+			if st == nil || !st.queued {
 				continue // hung up while queued
 			}
-			s.queued[c] = false
-			served := s.serveOne(th, c)
-			if c.Available()+s.ready[c] >= s.reqSize || (!served && s.ready[c] > 0) {
-				s.enqueue(i, c)
-			} else if s.ready[c] == 0 && c.Available() == 0 {
-				delete(s.ready, c)
+			st.queued = false
+			served := s.serveOne(th, c, st)
+			if c.Available()+st.ready >= s.reqSize || (!served && st.ready > 0) {
+				s.enqueue(i, c, st)
 			}
 		}
 	}
@@ -108,25 +116,25 @@ func (s *HTTPServer) NextWork(now int64) int64 {
 // serveOne handles one complete request if present: socket read, HTTP
 // parse, file fetch, response render, socket write — each charged to its
 // CPU category.
-func (s *HTTPServer) serveOne(th host.Thread, c host.Conn) bool {
+func (s *HTTPServer) serveOne(th host.Thread, c host.Conn, st *httpConn) bool {
 	core := th.Core()
-	if s.ready[c] < s.reqSize {
+	if st.ready < s.reqSize {
 		got := c.RecvQueued(c.Available())
 		if got == 0 {
 			return false
 		}
-		s.ready[c] += got
+		st.ready += got
 	}
-	if s.ready[c] < s.reqSize {
+	if st.ready < s.reqSize {
 		return false
 	}
-	s.ready[c] -= s.reqSize
+	st.ready -= s.reqSize
 	core.RunQueued(cpu.CatApp, s.costs.AppParseRequest)
 	core.RunQueued(cpu.CatKernel, s.costs.VfsRead)
 	core.RunQueued(cpu.CatApp, s.costs.AppBuildResponse)
 	if c.SendQueued(s.respSize, nil) == 0 {
 		// Response buffer full: requeue the request for a later turn.
-		s.ready[c] += s.reqSize
+		st.ready += s.reqSize
 		return false
 	}
 	s.Requests.Inc()
@@ -144,6 +152,13 @@ type Wrk struct {
 	reqSize  int
 	respSize int
 	costs    cpu.Costs
+
+	// ready[t] holds thread t's flows that may have work (DESIGN.md
+	// §18). Dialing, EvConnected and EvReadable add a flow, found through
+	// index; a visit that finds it not established, or awaiting with
+	// nothing to read, removes it.
+	ready []sim.ReadySet
+	index map[host.Conn]int // a flow's position in its thread's list
 
 	// Responses counts completed request/response pairs.
 	Responses sim.Counter
@@ -163,11 +178,24 @@ type wrkFlow struct {
 
 // NewWrk opens flowsPerThread keepalive connections per thread (paced).
 func NewWrk(k *sim.Kernel, threads []host.Thread, remoteIdx int, port uint16, reqSize, respSize, flowsPerThread int, costs cpu.Costs) *Wrk {
-	w := &Wrk{k: k, threads: threads, reqSize: reqSize, respSize: respSize, costs: costs, flows: make([][]*wrkFlow, len(threads))}
+	w := &Wrk{
+		k: k, threads: threads, reqSize: reqSize, respSize: respSize, costs: costs,
+		flows: make([][]*wrkFlow, len(threads)),
+		index: make(map[host.Conn]int),
+		ready: make([]sim.ReadySet, len(threads)),
+	}
 	w.d = newDialer(threads, remoteIdx, port, flowsPerThread, func(i int, conn host.Conn) {
+		w.index[conn] = len(w.flows[i])
+		w.ready[i].Add(len(w.flows[i]))
 		w.flows[i] = append(w.flows[i], &wrkFlow{conn: conn})
 	})
 	return w
+}
+
+// idle reports whether f has nothing to do until an event arrives: it is
+// not yet established, or it awaits a response with no bytes to read.
+func (f *wrkFlow) idle() bool {
+	return !f.conn.Established() || (f.awaiting && f.conn.Available() == 0)
 }
 
 // Ready reports whether every connection established.
@@ -178,14 +206,23 @@ func (w *Wrk) Tick(int64) {
 	w.d.tick()
 	now := w.k.NowNS()
 	for i, th := range w.threads {
-		th.Poll()
+		ready := &w.ready[i]
+		for _, ev := range th.Poll() {
+			if ev.Kind == host.EvConnected || ev.Kind == host.EvReadable {
+				if j, ok := w.index[ev.Conn]; ok {
+					ready.Add(j)
+				}
+			}
+		}
 		core := th.Core()
-		for _, f := range w.flows[i] {
-			if !f.conn.Established() {
+		for j := ready.Next(0); j >= 0; j = ready.Next(j + 1) {
+			f := w.flows[i][j]
+			if f.idle() {
+				ready.Remove(j)
 				continue
 			}
 			if f.awaiting {
-				if f.conn.Available() > 0 && core.Free() {
+				if core.Free() {
 					f.got += f.conn.TryRecv(w.respSize - f.got)
 					if f.got >= w.respSize {
 						f.awaiting = false
@@ -222,8 +259,10 @@ func (w *Wrk) NextWork(now int64) int64 {
 		if threadPending(th) {
 			return now + 1
 		}
-		for _, f := range w.flows[i] {
-			if !f.conn.Established() || (f.awaiting && f.conn.Available() == 0) {
+		ready := &w.ready[i]
+		for j := ready.Next(0); j >= 0; j = ready.Next(j + 1) {
+			if w.flows[i][j].idle() {
+				ready.Remove(j)
 				continue
 			}
 			var stop bool

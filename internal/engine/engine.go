@@ -206,6 +206,12 @@ type Engine struct {
 	toOrder   *sim.Queue[flow.ID]
 	compBatch [][]hostif.Completion
 
+	// Readiness sets over channel indices (DESIGN.md §18): channels whose
+	// command queues may hold entries, and channels with a completion
+	// batch to flush this cycle.
+	cmdReady  sim.ReadySet
+	compReady sim.ReadySet
+
 	arpWait map[wire.Addr][]*wire.Packet
 
 	// Stats.
@@ -314,10 +320,17 @@ func New(k *sim.Kernel, cfg Config, tx func(*wire.Packet)) *Engine {
 	schedCfg := sched.DefaultConfig(cfg.NumFPCs)
 	schedCfg.Coalesce = cfg.Coalesce
 	e.sch = sched.New(k, schedCfg, e.fpcs, e.mem)
-	// Doorbell wakes: a host Post must pull the kernel out of a
-	// quiescent skip so the command is fetched on the next cycle.
-	for _, ch := range e.Channels {
-		ch.SetDoorbell(func() { k.Wake(e) })
+	// A Post or a landed fetch marks the channel ready. Doorbell wakes:
+	// a host Post must also pull the kernel out of a quiescent skip so
+	// the command is fetched on the next cycle.
+	for i, ch := range e.Channels {
+		idx := i
+		ch.SetCommandHook(func(posted bool) {
+			e.cmdReady.Add(idx)
+			if posted {
+				k.Wake(e)
+			}
+		})
 	}
 	e.emitFn = e.emitPacket
 	e.transmitFn = func(arg any) { e.transmit(arg.(*wire.Packet)) }
@@ -520,14 +533,12 @@ func (e *Engine) DeliverPacket(pkt *wire.Packet) {
 // (PCIe DMA, TX serialization, TCB migration reads) needs no entry
 // here — those timers bound the kernel's skip directly.
 func (e *Engine) NextWork(now int64) int64 {
-	next := sim.Dormant
-	for _, ch := range e.Channels {
-		if w := ch.NextWork(now); w <= now+1 {
+	for i := e.cmdReady.Next(0); i >= 0; i = e.cmdReady.Next(i + 1) {
+		if e.Channels[i].HasCommands() {
 			return now + 1
-		} else if w < next {
-			next = w
 		}
 	}
+	next := sim.Dormant
 	if e.rxQueue.Len() > 0 || e.retryQ.Len() > 0 || e.toOrder.Len() > 0 {
 		return now + 1
 	}
@@ -567,8 +578,8 @@ func (e *Engine) NextWork(now int64) int64 {
 // order: host commands → RX parsing → timers → scheduler → FPCs →
 // memory manager → completion flush.
 func (e *Engine) Tick(cycle int64) {
-	for _, ch := range e.Channels {
-		ch.TickDevice()
+	for i := e.cmdReady.Next(0); i >= 0; i = e.cmdReady.Next(i + 1) {
+		e.Channels[i].TickDevice()
 	}
 	e.drainCommands()
 	e.drainRx()
@@ -585,10 +596,13 @@ func (e *Engine) Tick(cycle int64) {
 }
 
 // drainCommands converts fetched host commands into events (the host
-// interface of §4.1.2 ①). Up to four commands per cycle across channels.
+// interface of §4.1.2 ①). Up to four commands per cycle across channels,
+// in channel order; a channel leaves the ready set once both of its
+// queues are empty.
 func (e *Engine) drainCommands() {
 	budget := cmdBudgetPerCycle
-	for _, ch := range e.Channels {
+	for i := e.cmdReady.Next(0); i >= 0; i = e.cmdReady.Next(i + 1) {
+		ch := e.Channels[i]
 		for budget > 0 {
 			cmd, ok := ch.PeekCommand()
 			if !ok {
@@ -606,25 +620,18 @@ func (e *Engine) drainCommands() {
 				break
 			}
 			ch.PopCommand()
-			e.execCommand(ch, cmd)
+			e.execCommand(i, cmd)
 			e.CmdsProcessed.Inc()
 			budget--
 		}
-	}
-}
-
-func (e *Engine) channelIndex(ch *hostif.Channel) int {
-	for i, c := range e.Channels {
-		if c == ch {
-			return i
+		if !ch.HasCommands() {
+			e.cmdReady.Remove(i)
 		}
 	}
-	return 0
 }
 
-// execCommand interprets one 16 B command.
-func (e *Engine) execCommand(ch *hostif.Channel, cmd hostif.Command) {
-	chIdx := e.channelIndex(ch)
+// execCommand interprets one 16 B command from channel chIdx.
+func (e *Engine) execCommand(chIdx int, cmd hostif.Command) {
 	switch cmd.Op {
 	case hostif.OpListen:
 		l := e.listeners[cmd.LocalPort]
@@ -957,18 +964,18 @@ func (e *Engine) emitNote(fm *flowMeta, n *tcpproc.Note) {
 
 func (e *Engine) queueCompletion(ch int, comp hostif.Completion) {
 	e.compBatch[ch] = append(e.compBatch[ch], comp)
+	e.compReady.Add(ch)
 }
 
 // flushCompletions DMA-writes each channel's batch once per cycle
 // (completion batching keeps the PCIe TLP overhead amortized, §4.6).
 func (e *Engine) flushCompletions() {
-	for i, batch := range e.compBatch {
-		if len(batch) == 0 {
-			continue
-		}
+	for i := e.compReady.Next(0); i >= 0; i = e.compReady.Next(i + 1) {
+		batch := e.compBatch[i]
 		e.Channels[i].PushCompletions(batch)
 		e.CompletionsSent.Add(int64(len(batch)))
 		e.compBatch[i] = batch[:0]
+		e.compReady.Remove(i)
 	}
 }
 

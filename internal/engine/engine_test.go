@@ -476,3 +476,44 @@ func TestEngineDCTCPOverECN(t *testing.T) {
 		t.Fatal("engine-side DCTCP alpha never moved")
 	}
 }
+
+// TestEngineDrainsHighChannel posts on channel 69 of 70, so the
+// channel sits in the second word of the engine's command and
+// completion ready sets on both sides of the connection.
+func TestEngineDrainsHighChannel(t *testing.T) {
+	const ch = 69
+	r := newRig(t, func(c *engine.Config) { c.Channels = ch + 1 })
+	cliLib := softstack.NewLib(r.k, r.e1, ch)
+	srvLib := softstack.NewLib(r.k, r.e2, ch)
+	var srv *softstack.Socket
+	r.k.Register(sim.TickerFunc(func(int64) {
+		cliLib.Poll()
+		for _, ev := range srvLib.Poll() {
+			if ev.Kind == softstack.EvAccepted {
+				srv = ev.Sock
+			}
+		}
+	}))
+	srvLib.Listen(80)
+	cli := cliLib.Dial(wire.MakeAddr(10, 0, 0, 2), 80)
+	if cli == nil {
+		t.Fatal("dial refused")
+	}
+	r.run(t, func() bool { return cli.Established && srv != nil }, 1_000_000, "handshake on channel 69")
+
+	msg := []byte("request over the last channel")
+	if n := cli.Send(msg); n != len(msg) {
+		t.Fatalf("Send = %d, want %d", n, len(msg))
+	}
+	r.run(t, func() bool { return srv.Available() >= len(msg) }, 2_000_000, "delivery")
+	if got, _ := srv.Recv(4096); !bytes.Equal(got, msg) {
+		t.Fatalf("Recv = %q, want %q", got, msg)
+	}
+	if n := srv.Send(msg); n != len(msg) {
+		t.Fatalf("reply Send = %d, want %d", n, len(msg))
+	}
+	r.run(t, func() bool { return cli.Available() >= len(msg) }, 2_000_000, "reply delivery")
+	if c := r.e1.Channels[0]; c.Posted != 0 || c.PendingCompletions() != 0 {
+		t.Fatalf("channel 0 saw traffic: posted %d, completions %d", c.Posted, c.PendingCompletions())
+	}
+}

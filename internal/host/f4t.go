@@ -20,6 +20,10 @@ type F4TMachine struct {
 
 	threads []*f4tThread
 	remotes []wire.Addr
+
+	// Threads whose completion queue may be non-empty (DESIGN.md §18):
+	// a landed completion DMA adds the thread, a drained queue removes it.
+	compReady sim.ReadySet
 }
 
 // NewF4TMachine builds a host with one thread per engine channel. The
@@ -40,6 +44,7 @@ func NewF4TMachine(k *sim.Kernel, eng *engine.Engine, cores int, costs cpu.Costs
 			lib:  softstack.NewLib(k, eng, i),
 		}
 		m.threads = append(m.threads, th)
+		eng.Channels[i].SetCompletionHook(func() { m.compReady.Add(th.idx) })
 	}
 	return m
 }
@@ -62,10 +67,14 @@ func (m *F4TMachine) Threads() []Thread {
 // Tick drains each thread's completion queue, charging per-completion
 // library cost on its core (polling the software doorbell, §4.6).
 func (m *F4TMachine) Tick(cycle int64) {
-	for _, th := range m.threads {
+	for i := m.compReady.Next(0); i >= 0; i = m.compReady.Next(i + 1) {
+		th := m.threads[i]
 		for th.lib.PendingCompletions() > 0 && th.core.Free() {
 			th.core.Run(cpu.CatF4TLib, m.costs.F4TCompletion)
 			th.lib.PollOne()
+		}
+		if th.lib.PendingCompletions() == 0 {
+			m.compReady.Remove(i)
 		}
 	}
 }
@@ -75,7 +84,8 @@ func (m *F4TMachine) Tick(cycle int64) {
 // Completions arrive via PCIe DMA kernel timers, which bound any skip.
 func (m *F4TMachine) NextWork(now int64) int64 {
 	next := sim.Dormant
-	for _, th := range m.threads {
+	for i := m.compReady.Next(0); i >= 0; i = m.compReady.Next(i + 1) {
+		th := m.threads[i]
 		if th.lib.PendingCompletions() == 0 {
 			continue
 		}

@@ -25,7 +25,8 @@ type Channel struct {
 
 	comps *sim.Queue[Completion] // arrived completions, host-visible
 
-	onPost func() // doorbell hook: fires on every host Post
+	onCmds  func(posted bool) // fires whenever either command queue gains entries
+	onComps func()            // fires whenever completions become host-visible
 
 	// Pooled DMA batches and their prebound landing callbacks: each
 	// in-flight transfer carries a recycled batch struct through AtCall
@@ -79,6 +80,9 @@ func NewChannel(k *sim.Kernel, pcie *PCIe, cmdBytes int64) *Channel {
 		c.fetching--
 		b.n = 0
 		c.cmdFree = append(c.cmdFree, b)
+		if c.onCmds != nil {
+			c.onCmds(false)
+		}
 	}
 	c.compDoneFn = func(arg any) {
 		b := arg.(*compBatch)
@@ -88,14 +92,23 @@ func NewChannel(k *sim.Kernel, pcie *PCIe, cmdBytes int64) *Channel {
 		c.Completed += int64(len(b.comps))
 		b.comps = b.comps[:0]
 		c.compFree = append(c.compFree, b)
+		if c.onComps != nil {
+			c.onComps()
+		}
 	}
 	return c
 }
 
-// SetDoorbell registers a callback invoked on every host Post — the MMIO
-// doorbell. The engine uses it to wake the kernel out of a quiescent
-// skip when a command arrives.
-func (c *Channel) SetDoorbell(fn func()) { c.onPost = fn }
+// SetCommandHook registers a callback invoked whenever either command
+// queue gains entries: on every host Post (the MMIO doorbell; posted is
+// true) and when a fetch DMA lands in the device queue (posted is
+// false). The engine keeps its set of channels with commands with it.
+func (c *Channel) SetCommandHook(fn func(posted bool)) { c.onCmds = fn }
+
+// SetCompletionHook registers a callback invoked whenever a completion
+// DMA lands (the software doorbell write). The host keeps its set of
+// threads with completions to drain with it.
+func (c *Channel) SetCompletionHook(fn func()) { c.onComps = fn }
 
 // Post enqueues a command from the host thread. It reports false when the
 // queue is full (the library must retry — a blocking-API path, §4.6).
@@ -104,22 +117,17 @@ func (c *Channel) Post(cmd Command) bool {
 		return false
 	}
 	c.Posted++
-	if c.onPost != nil {
-		c.onPost()
+	if c.onCmds != nil {
+		c.onCmds(true)
 	}
 	return true
 }
 
-// NextWork reports the earliest cycle the channel can make progress on
-// its own: immediately while commands sit in either queue (fetch engine
-// or the engine's drain). DMA transfers in flight complete via kernel
-// timers, so they need no polling.
-func (c *Channel) NextWork(now int64) int64 {
-	if c.host.Len() > 0 || c.device.Len() > 0 {
-		return now + 1
-	}
-	return sim.Dormant
-}
+// HasCommands reports whether commands sit in either queue, so the
+// fetch engine or the engine's drain can make progress next cycle. DMA
+// transfers in flight complete via kernel timers, so they need no
+// polling.
+func (c *Channel) HasCommands() bool { return c.host.Len() > 0 || c.device.Len() > 0 }
 
 // HostBacklog returns commands posted but not yet fetched.
 func (c *Channel) HostBacklog() int { return c.host.Len() }

@@ -111,3 +111,36 @@ func TestCommandWidthChangesFetchCost(t *testing.T) {
 		t.Fatalf("bytes: 16B=%d 8B=%d", p16.BytesToDevice, p8.BytesToDevice)
 	}
 }
+
+// TestChannelHooksFireWhenQueuesGain checks the readiness hooks: the
+// command hook on a Post and again when the fetch lands, the completion
+// hook when the completion DMA lands, and neither while a DMA is in
+// flight.
+func TestChannelHooksFireWhenQueuesGain(t *testing.T) {
+	k := sim.New()
+	ch := NewChannel(k, NewPCIe(k, DefaultPCIe()), CommandBytes16)
+	var cmdCalls []bool
+	comps := 0
+	ch.SetCommandHook(func(posted bool) { cmdCalls = append(cmdCalls, posted) })
+	ch.SetCompletionHook(func() { comps++ })
+
+	ch.Post(Command{Op: OpSend, Flow: 1})
+	if len(cmdCalls) != 1 || !cmdCalls[0] {
+		t.Fatalf("after Post: hook calls %v, want [true]", cmdCalls)
+	}
+	ch.TickDevice()
+	ch.PushCompletions([]Completion{{Kind: CompAcked, Flow: 1}})
+	k.Step()
+	if len(cmdCalls) != 1 || comps != 0 {
+		t.Fatalf("DMA in flight: command hook calls %v, completion hook calls %d", cmdCalls, comps)
+	}
+	for i := 0; i < 200 && ch.DeviceBacklog() == 0; i++ {
+		k.Step()
+	}
+	if ch.DeviceBacklog() != 1 || len(cmdCalls) != 2 || cmdCalls[1] {
+		t.Fatalf("after the fetch landed: backlog %d, hook calls %v, want 1 and [true false]", ch.DeviceBacklog(), cmdCalls)
+	}
+	if ch.PendingCompletions() != 1 || comps != 1 {
+		t.Fatalf("completions visible %d, hook calls %d; want 1 and 1", ch.PendingCompletions(), comps)
+	}
+}
